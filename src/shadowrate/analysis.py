@@ -158,9 +158,12 @@ def compare_full_universe(result: MinRateResult, mean_returns: np.ndarray,
     Minimizes w' C w subject to sum(w) = 1, w >= 0 by sweeping ordered asset
     pairs and applying the optimal mass transfer along each pair, clipped to
     keep both weights non-negative. Stops when the stationarity residual
-    falls below ``tol`` (relative to the portfolio variance); raises if
-    ``max_sweeps`` sweeps do not converge. ``result`` is the composite-block
-    portfolio this full-universe solution is compared against.
+    falls below ``tol`` relative to the largest asset variance, which bounds
+    the portfolio variance and gradient, so a portfolio whose variance
+    vanishes (a long-only null vector of the covariance) still converges;
+    raises if ``max_sweeps`` sweeps do not converge. ``result`` is the
+    composite-block portfolio this full-universe solution is compared
+    against.
     """
     mean_returns = np.asarray(mean_returns, dtype=np.float64)
     cov = np.asarray(sample_covariance, dtype=np.float64)
@@ -178,10 +181,9 @@ def compare_full_universe(result: MinRateResult, mean_returns: np.ndarray,
 
     w = np.full(n, 1.0 / n)
     g = cov @ w
+    floor = tol * max(float(np.max(np.diag(cov))), 1e-300)
     sweeps = 0
     while True:
-        variance = float(w @ g)
-        floor = tol * max(variance, float(np.max(np.abs(g))), 1e-300)
         support = w > 0.0
         stationarity = float(np.max(g[support]) - np.min(g)) if support.any() else 0.0
         if stationarity <= floor:

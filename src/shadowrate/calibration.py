@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market_data import DateLabel, ReturnMatrix
-from .pca import PcaResult, center_columns, pca
+# center_columns and pca are not called here but stay importable from this
+# module, where benchmark/spans.py wraps them by name.
+from .pca import PcaResult, _eigenpairs, center_columns, pca  # noqa: F401
 
 METHODS = ("direct", "regression")
 
@@ -90,12 +92,19 @@ def calibrate(r: ReturnMatrix, method: str = "direct",
     if m <= n:
         raise ValueError(f"window of {m} rows is too short for {n} assets "
                          f"(need M > N)")
-    x0, means = center_columns(r.values)
-    result = pca(x0, column_means=means, ddof=ddof)
+    if ddof not in (0, 1):
+        raise ValueError(f"ddof must be 0 or 1, got {ddof}")
+    # The panel passed its finiteness checks when it was built, so the
+    # window is centred and diagonalized without re-validation; the direct
+    # route never reads the component scores and does not form them.
+    means = r.values.mean(axis=0)
+    x0 = r.values - means
+    lam, w = _eigenpairs(x0, ddof)
     if method == "direct":
-        sigma = sigma_direct(result)
+        sigma = w[:, :n - 1] * np.sqrt(lam[:n - 1])  # as in sigma_direct
     else:
-        sigma = sigma_regression(r, result, ddof=ddof)
+        sigma = sigma_regression(r, PcaResult(lam, w, x0 @ w, means),
+                                 ddof=ddof)
     if not np.all(np.isfinite(sigma)):
         raise ValueError("calibration produced non-finite loadings")
     return CalibratedModel(means, sigma, method, r.dates[-1])

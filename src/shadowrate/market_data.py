@@ -365,7 +365,13 @@ def log_returns(series: list[PriceSeries],
 
 
 def window(panel: ReturnMatrix, end_index: int, m: int) -> ReturnMatrix:
-    """Rows ``end_index - m + 1 .. end_index`` (inclusive) as a new panel."""
+    """Rows ``end_index - m + 1 .. end_index`` (inclusive) as a read-only view.
+
+    The window shares the parent panel's memory (a C-ordered parent is not
+    copied; any other layout is copied once into C order) and is not
+    re-validated: every row already passed the parent's checks. Writing to
+    the window's values raises.
+    """
     total = panel.values.shape[0]
     if not 0 <= end_index < total:
         raise DataError(f"end index {end_index} outside panel of {total} rows")
@@ -375,8 +381,13 @@ def window(panel: ReturnMatrix, end_index: int, m: int) -> ReturnMatrix:
         raise DataError(f"insufficient history: window of {m} rows ending at "
                         f"index {end_index} needs {m - end_index - 1} more rows")
     start = end_index - m + 1
-    return ReturnMatrix(panel.dates[start:end_index + 1], panel.asset_ids,
-                        panel.values[start:end_index + 1].copy())
+    values = np.ascontiguousarray(panel.values[start:end_index + 1])
+    values.flags.writeable = False
+    view = object.__new__(ReturnMatrix)
+    object.__setattr__(view, "dates", panel.dates[start:end_index + 1])
+    object.__setattr__(view, "asset_ids", panel.asset_ids)
+    object.__setattr__(view, "values", values)
+    return view
 
 
 # ---------------------------------------------------------------------------

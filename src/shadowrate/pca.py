@@ -40,12 +40,25 @@ def center_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x - means, means
 
 
-def _apply_sign_convention(w: np.ndarray) -> np.ndarray:
-    for j in range(w.shape[1]):
-        k = int(np.argmax(np.abs(w[:, j])))  # argmax takes the lowest index on ties
-        if w[k, j] < 0.0:
-            w[:, j] = -w[:, j]
-    return w
+def _eigenpairs(x0: np.ndarray, ddof: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending, clipped at zero) and sign-normalized
+    eigenvectors of ``x0' x0 / (M - ddof)``; ``x0`` is trusted to be a
+    centered, finite 2-d panel with ``M - ddof >= 1``."""
+    cov = (x0.T @ x0) / (x0.shape[0] - ddof)
+    lam, w = np.linalg.eigh(cov)
+    lam = lam[::-1].copy()
+    w = w[:, ::-1].copy()
+
+    floor = -1e-12 * max(1.0, float(lam[0]) if lam.size else 1.0)
+    if lam.size and float(lam[-1]) < floor:
+        raise ValueError(f"covariance eigenvalue {lam[-1]:g} is negative beyond "
+                         f"the clip tolerance")
+    np.clip(lam, 0.0, None, out=lam)
+
+    # argmax takes the lowest index on ties
+    peak = w[np.argmax(np.abs(w), axis=0), np.arange(w.shape[1])]
+    w *= np.where(peak < 0.0, -1.0, 1.0)
+    return lam, w
 
 
 def pca(x0: np.ndarray, column_means: np.ndarray | None = None,
@@ -73,18 +86,7 @@ def pca(x0: np.ndarray, column_means: np.ndarray | None = None,
     if max_mean > 1e-8 * scale:
         raise ValueError(f"panel is not column-centered (max |mean| = {max_mean:g})")
 
-    cov = (x0.T @ x0) / (m - ddof)
-    lam, w = np.linalg.eigh(cov)
-    lam = lam[::-1].copy()
-    w = w[:, ::-1].copy()
-
-    floor = -1e-12 * max(1.0, float(lam[0]) if lam.size else 1.0)
-    if lam.size and float(lam[-1]) < floor:
-        raise ValueError(f"covariance eigenvalue {lam[-1]:g} is negative beyond "
-                         f"the clip tolerance")
-    np.clip(lam, 0.0, None, out=lam)
-
-    w = _apply_sign_convention(w)
+    lam, w = _eigenpairs(x0, ddof)
     components = x0 @ w
     if column_means is None:
         column_means = np.zeros(n)

@@ -92,11 +92,13 @@ class SrrSeriesRow:
 
 @dataclass(frozen=True)
 class RegularizerStates:
-    """Clamp histories carried across dates (and across split runs)."""
+    """Clamp histories carried across dates (and across split runs): the
+    singular spectrum's N levels, the rate's level, and the N-1 levels of
+    the deflator-volatility components."""
 
-    d_states: tuple[ClampState, ...]
+    d_state: ClampState
     nu_state: ClampState
-    sigma_states: tuple[ClampState, ...]
+    sigma_state: ClampState
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,9 @@ class SrrRun:
 
 
 def _fresh_states(n: int, cfg: PipelineConfig) -> RegularizerStates:
-    return RegularizerStates(
-        d_states=tuple(ClampState(epsilon=cfg.epsilon) for _ in range(n)),
-        nu_state=ClampState(epsilon=cfg.delta_nu),
-        sigma_states=tuple(ClampState(epsilon=cfg.delta_sigma)
-                           for _ in range(n - 1)),
-    )
+    return RegularizerStates(d_state=ClampState(epsilon=cfg.epsilon),
+                             nu_state=ClampState(epsilon=cfg.delta_nu),
+                             sigma_state=ClampState(epsilon=cfg.delta_sigma))
 
 
 def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
@@ -149,10 +148,11 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
 
     mode = cfg.resolved_svd_mode()
     st = _fresh_states(n, cfg) if states is None else states
-    if len(st.d_states) != n or len(st.sigma_states) != n - 1:
-        raise ValueError("clamp states do not match the panel's asset count")
-    d_states, nu_state, sigma_states = st.d_states, st.nu_state, \
-        list(st.sigma_states)
+    for state, size in ((st.d_state, n), (st.sigma_state, n - 1)):
+        if state.previous is not None and np.shape(state.previous) != (size,):
+            raise ValueError("clamp states do not match the panel's asset "
+                             "count")
+    d_state, nu_state, sigma_state = st.d_state, st.nu_state, st.sigma_state
     cal = calibrator if calibrator is not None else \
         (lambda w: calibrate(w, method=cfg.method))
 
@@ -174,7 +174,7 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
         except SingularMatrixError:
             nu_raw = sigma_pi_raw = None
 
-        regularized, d_states = regularize_singulars(d, d_states, mode)
+        regularized, d_state = regularize_singulars(d, d_state, mode)
         d_bar = regularized.d_bar
         d_min_eps = float(np.min(d_bar))
         d_max_eps = float(np.max(d_bar))
@@ -191,10 +191,7 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
             nu_eps = eps_sol.nu
             residual_norm = eps_sol.residual_norm
             nu_hat, nu_state = clamp(nu_state, nu_eps)
-            hat_components = np.empty(n - 1)
-            for k in range(n - 1):
-                hat_components[k], sigma_states[k] = \
-                    clamp(sigma_states[k], float(eps_sol.sigma_pi[k]))
+            hat_components, sigma_state = clamp(sigma_state, eps_sol.sigma_pi)
             sigma_pi_hat = float(np.linalg.norm(hat_components))
 
         rows.append(SrrSeriesRow(
@@ -205,7 +202,7 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
             residual_norm=residual_norm))
         spectra.append((r.dates[t], d.copy()))
 
-    final = RegularizerStates(d_states, nu_state, tuple(sigma_states))
+    final = RegularizerStates(d_state, nu_state, sigma_state)
     return SrrRun(rows, spectra, final, cfg)
 
 

@@ -21,7 +21,7 @@ solved rate and volatility components.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,16 +30,20 @@ MODES = ("min-only", "all")
 
 @dataclass(frozen=True)
 class ClampState:
-    """Carries the previous clamped level between steps of one series."""
+    """Carries the previous clamped level(s) between steps of one series.
+
+    ``previous`` is one level, or an array of levels that step together; a
+    zero level is unseeded, as is the whole series while it is None.
+    """
 
     epsilon: float
-    previous: float | None = None
+    previous: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive and finite, "
                              f"got {self.epsilon!r}")
-        if self.previous is not None and not math.isfinite(self.previous):
+        if self.previous is not None and not np.isfinite(self.previous).all():
             raise ValueError(f"previous level must be finite, got {self.previous!r}")
 
     @property
@@ -47,20 +51,42 @@ class ClampState:
         return self.previous is not None
 
 
-def clamp(state: ClampState, raw: float) -> tuple[float, ClampState]:
-    """One recursion step; returns (clamped value, advanced state)."""
-    raw = float(raw)
-    if not math.isfinite(raw):
-        raise ValueError(f"raw value must be finite, got {raw!r}")
+def clamp(state: ClampState, raw) -> tuple[float | np.ndarray, ClampState]:
+    """One recursion step; returns (clamped value, advanced state).
+
+    ``raw`` is one level, or an array shaped like ``state.previous`` whose
+    entries are clamped independently in one call: the array form applies
+    the same IEEE operations as the scalar form, entry by entry.
+    """
     previous = state.previous
-    if previous is None or previous == 0.0:
-        return raw, replace(state, previous=raw)
-    lo = previous * (1.0 - state.epsilon)
-    hi = previous * (1.0 + state.epsilon)
-    if lo > hi:  # negative previous level flips the edges
-        lo, hi = hi, lo
-    clamped = min(max(raw, lo), hi)
-    return clamped, replace(state, previous=clamped)
+    if np.ndim(raw) == 0 and not isinstance(previous, np.ndarray):
+        raw = float(raw)
+        if not math.isfinite(raw):
+            raise ValueError(f"raw value must be finite, got {raw!r}")
+        if previous is None or previous == 0.0:
+            return raw, ClampState(state.epsilon, raw)
+        lo = previous * (1.0 - state.epsilon)
+        hi = previous * (1.0 + state.epsilon)
+        if lo > hi:  # negative previous level flips the edges
+            lo, hi = hi, lo
+        clamped = min(max(raw, lo), hi)
+        return clamped, ClampState(state.epsilon, clamped)
+
+    raw = np.asarray(raw, dtype=np.float64)
+    if not np.isfinite(raw).all():
+        raise ValueError(f"raw values must be finite, got {raw!r}")
+    if previous is None:
+        clamped = raw.copy()
+    elif np.shape(previous) != raw.shape:
+        raise ValueError(f"{np.shape(previous)} previous levels for raw "
+                         f"values of shape {raw.shape}")
+    else:
+        lo = previous * (1.0 - state.epsilon)
+        hi = previous * (1.0 + state.epsilon)
+        clamped = np.where(previous == 0.0, raw,
+                           np.minimum(np.maximum(raw, np.minimum(lo, hi)),
+                                      np.maximum(lo, hi)))
+    return clamped, ClampState(state.epsilon, clamped)
 
 
 @dataclass(frozen=True)
@@ -73,28 +99,36 @@ class RegularizedSvd:
 
 def regularize_singulars(
     d: np.ndarray,
-    states: tuple[ClampState, ...],
+    state: ClampState,
     mode: str = "min-only",
-) -> tuple[RegularizedSvd, tuple[ClampState, ...]]:
+) -> tuple[RegularizedSvd, ClampState]:
     """Clamp a singular spectrum against its per-index history.
 
-    ``min-only`` clamps just the smallest (last) singular value, leaving the
-    rest untouched; ``all`` clamps every index independently.
+    ``state.previous`` holds one level per index (None before the first
+    date). ``min-only`` clamps just the smallest (last) singular value,
+    leaving the rest and their levels untouched; ``all`` clamps every index
+    independently.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1 or d.size == 0:
         raise ValueError(f"expected a non-empty 1-d spectrum, got shape {d.shape}")
-    if len(states) != d.size:
-        raise ValueError(f"{len(states)} clamp states for a spectrum of "
-                         f"{d.size} values")
+    previous = state.previous
+    if previous is not None and np.shape(previous) != d.shape:
+        raise ValueError(f"clamp states of shape {np.shape(previous)} for a "
+                         f"spectrum of {d.size} values")
+    if mode == "all":
+        d_bar, state = clamp(state, d)
+        return RegularizedSvd(d_bar, mode), state
+    last, _ = clamp(ClampState(state.epsilon,
+                               None if previous is None else float(previous[-1])),
+                    d[-1])
     d_bar = d.copy()
-    new_states = list(states)
-    indices = range(d.size) if mode == "all" else (d.size - 1,)
-    for i in indices:
-        d_bar[i], new_states[i] = clamp(states[i], float(d[i]))
-    return RegularizedSvd(d_bar, mode), tuple(new_states)
+    d_bar[-1] = last
+    levels = np.zeros(d.size) if previous is None else previous.copy()
+    levels[-1] = last
+    return RegularizedSvd(d_bar, mode), ClampState(state.epsilon, levels)
 
 
 def secondary_regularize(series, delta: float) -> list[float]:

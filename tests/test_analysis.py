@@ -10,7 +10,8 @@ import pytest
 
 from shadowrate.analysis import (MinRateResult, compare_full_universe,
                                  min_rate, min_variance_weights, quantiles)
-from shadowrate.market_data import log_returns
+from shadowrate.market_data import ReturnMatrix, log_returns, \
+    write_return_panel
 from shadowrate.pca import PcaResult, center_columns, pca
 from shadowrate.synthetic import GbmSpec, simulate_gbm
 
@@ -215,6 +216,31 @@ def test_full_universe_weights_stay_on_simplex() -> None:
     for _ in range(200):
         w = rng.dirichlet(np.ones(6))
         assert float(w @ cov @ w) >= base - 1e-10
+
+
+def test_full_universe_converges_on_long_only_null_portfolio(tmp_path,
+                                                              capsys) -> None:
+    # a + 2 (b - a)/2 + 2 (-b/2) = 0: the long-only portfolio (1, 2, 0, 2)/5
+    # has zero variance, so the stationarity floor cannot rest on the
+    # vanishing portfolio variance alone.
+    rng = np.random.default_rng(0)
+    a, b, c = 0.01 * rng.standard_normal((3, 300))
+    x = np.column_stack([a, (b - a) / 2, c, -b / 2]) + 3e-4
+    x0, means = center_columns(x)
+    walk = min_rate(pca(x0, column_means=means), means, k0=2)
+    cov = x0.T @ x0 / (x.shape[0] - 1)
+    full = compare_full_universe(walk, means, cov)
+    null = np.array([1.0, 2.0, 0.0, 2.0]) / 5.0
+    assert float(np.abs(full.weights - null).max()) <= 1e-9
+    assert full.sigma_r <= 1e-6 * math.sqrt(float(np.max(np.diag(cov))))
+    assert full.sweeps < 100
+
+    from shadowrate.cli import main
+    returns = tmp_path / "returns.csv"
+    write_return_panel(ReturnMatrix(tuple(range(300)), ("a", "b", "c", "d"),
+                                    x), returns)
+    assert main(["min-rate", "--returns", str(returns)]) == 0
+    assert "full_r=" in capsys.readouterr().out
 
 
 def test_full_universe_validation() -> None:

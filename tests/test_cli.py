@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shadowrate
 from shadowrate.cli import main
 from shadowrate.market_data import UniverseEntry, select_assets
 from shadowrate.pipeline import ROWS_HEADER, read_rows_csv
@@ -199,6 +203,16 @@ def test_min_rate_requires_exactly_one_input(tmp_path) -> None:
         main(["min-rate", "--prices", str(prices), "--returns", str(prices)])
     with pytest.raises(SystemExit):
         main(["min-rate"])
+
+
+def test_python_dash_m_runs_the_cli() -> None:
+    src = str(Path(shadowrate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "shadowrate", "--version"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == f"shadowrate {shadowrate.__version__}\n"
 
 
 def test_version_flag_and_console_script(capsys) -> None:

@@ -202,6 +202,26 @@ def test_window_slices_exact_rows() -> None:
     np.testing.assert_array_equal(w.values, values[3:7])
 
 
+def test_window_is_a_read_only_view() -> None:
+    values = np.arange(20.0).reshape(10, 2)
+    panel = ReturnMatrix(tuple(range(10)), ("A", "B"), values)
+    w = window(panel, end_index=6, m=4)
+    assert np.shares_memory(w.values, panel.values)
+    assert w.values.flags.c_contiguous
+    with pytest.raises(ValueError, match="read-only"):
+        w.values[0, 0] = -1.0
+    np.testing.assert_array_equal(panel.values, np.arange(20.0).reshape(10, 2))
+    assert panel.values.flags.writeable
+
+
+def test_window_of_fortran_panel_is_a_c_ordered_copy() -> None:
+    values = np.asfortranarray(np.arange(20.0).reshape(10, 2))
+    panel = ReturnMatrix(tuple(range(10)), ("A", "B"), values)
+    w = window(panel, end_index=6, m=4)
+    assert w.values.flags.c_contiguous and not w.values.flags.writeable
+    np.testing.assert_array_equal(w.values, values[3:7])
+
+
 def test_window_insufficient_history() -> None:
     panel = ReturnMatrix(tuple(range(5)), ("A", "B"), np.zeros((5, 2)))
     with pytest.raises(DataError, match="insufficient history"):

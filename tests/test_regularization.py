@@ -11,6 +11,8 @@ from shadowrate.regularization import (ClampState, clamp,
                                        regularize_singulars,
                                        secondary_regularize)
 
+from oracles import ScalarClampState, scalar_clamp
+
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
 
@@ -73,33 +75,48 @@ def test_clamp_properties(prev, raw, eps) -> None:
 
 def test_regularize_min_only_touches_only_smallest() -> None:
     d = np.array([5.0, 1.0, 0.01])
-    states = (ClampState(epsilon=0.005),
-              ClampState(epsilon=0.005),
-              ClampState(epsilon=0.005, previous=0.02))
-    result, new_states = regularize_singulars(d, states, mode="min-only")
+    state = ClampState(epsilon=0.005, previous=np.array([0.0, 0.0, 0.02]))
+    result, new_state = regularize_singulars(d, state, mode="min-only")
     assert result.mode == "min-only"
     np.testing.assert_array_equal(result.d_bar[:2], d[:2])
     assert result.d_bar[2] == 0.02 * (1.0 - 0.005)  # floored at 0.0199
-    assert not new_states[0].initialized
-    assert new_states[2].previous == result.d_bar[2]
+    np.testing.assert_array_equal(new_state.previous[:2], [0.0, 0.0])
+    assert new_state.previous[2] == result.d_bar[2]
+    # a fresh state seeds only the smallest index
+    _, seeded = regularize_singulars(d, ClampState(epsilon=0.005))
+    np.testing.assert_array_equal(seeded.previous, [0.0, 0.0, 0.01])
 
 
 def test_regularize_all_clamps_every_index() -> None:
     d = np.array([5.0, 1.0, 0.01])
-    states = tuple(ClampState(epsilon=0.005, previous=p)
-                   for p in (4.0, 1.0, 0.02))
-    result, _ = regularize_singulars(d, states, mode="all")
+    state = ClampState(epsilon=0.005, previous=np.array([4.0, 1.0, 0.02]))
+    result, new_state = regularize_singulars(d, state, mode="all")
     assert result.d_bar[0] == 4.0 * 1.005
     assert result.d_bar[1] == 1.0
     assert result.d_bar[2] == 0.02 * 0.995
+    np.testing.assert_array_equal(new_state.previous, result.d_bar)
 
 
 def test_regularize_validation() -> None:
-    states = (ClampState(epsilon=0.1),)
+    state = ClampState(epsilon=0.1, previous=np.array([1.0]))
     with pytest.raises(ValueError, match="states"):
-        regularize_singulars(np.array([1.0, 2.0]), states)
+        regularize_singulars(np.array([1.0, 2.0]), state)
     with pytest.raises(ValueError, match="mode"):
-        regularize_singulars(np.array([1.0]), states, mode="other")
+        regularize_singulars(np.array([1.0]), state, mode="other")
+
+
+@settings(max_examples=200)
+@given(prev=st.lists(finite, min_size=1, max_size=6), data=st.data(),
+       eps=st.floats(min_value=1e-6, max_value=0.5))
+def test_array_clamp_equals_scalar_clamps(prev, data, eps) -> None:
+    # one array step is, bit for bit, the reference scalar step of each entry
+    raw = data.draw(st.lists(finite, min_size=len(prev), max_size=len(prev)))
+    values, state = clamp(ClampState(eps, np.array(prev)), np.array(raw))
+    for k, (p, r) in enumerate(zip(prev, raw)):
+        expected, _ = scalar_clamp(ScalarClampState(eps, p), r)
+        assert values[k] == expected
+        assert np.signbit(values[k]) == np.signbit(expected)
+    np.testing.assert_array_equal(state.previous, values)
 
 
 def test_secondary_regularize_worked_example() -> None:
