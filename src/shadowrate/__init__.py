@@ -20,17 +20,14 @@ from .calibration import (CalibratedModel, calibrate, sigma_direct,
 from .market_data import (DataError, PriceSeries, ReturnMatrix, UniverseEntry,
                           load_prices, load_universe, log_returns,
                           read_return_panel, select_assets, window,
-                          write_prices, write_return_panel)
+                          write_prices)
 from .pca import PcaResult, center_columns, pca
 from .pipeline import (PipelineConfig, RegularizerStates, SrrRun, SrrSeriesRow,
-                       read_rows_csv, run_srr_series, trajectory,
-                       write_rows_csv, write_singular_csv)
+                       run_srr_series, write_rows_csv, write_singular_csv)
 from .regularization import (ClampState, RegularizedSvd, clamp,
-                             regularize_singulars, secondary_regularize)
+                             regularize_singulars)
 from .solver import (DeflatorSolution, PhiSystem, SingularMatrixError,
-                     SvdFactors, build_phi, condition_number,
-                     pricing_residuals, solve_determinant, solve_lu,
-                     solve_svd, srr_two_asset, svd_factors, total_volatility)
+                     SvdFactors, build_phi, solve_svd, svd_factors)
 from .synthetic import GbmSpec, simulate_gbm
 
 __all__ = [
@@ -42,13 +39,10 @@ __all__ = [
     "SingularMatrixError", "SrrRun", "SrrSeriesRow", "SvdFactors",
     "UniverseEntry",
     "build_phi", "calibrate", "center_columns", "clamp",
-    "compare_full_universe", "condition_number", "load_prices",
-    "load_universe", "log_returns", "min_rate", "min_variance_weights",
-    "pca", "pricing_residuals", "quantiles", "read_return_panel",
-    "read_rows_csv", "regularize_singulars", "run_srr_series",
-    "secondary_regularize", "select_assets", "sigma_direct",
-    "sigma_regression", "simulate_gbm", "solve_determinant", "solve_lu",
-    "solve_svd", "srr_two_asset", "svd_factors", "total_volatility",
-    "trajectory", "window", "write_prices", "write_return_panel",
-    "write_rows_csv", "write_singular_csv",
+    "compare_full_universe", "load_prices", "load_universe", "log_returns",
+    "min_rate", "min_variance_weights", "pca", "quantiles",
+    "read_return_panel", "regularize_singulars", "run_srr_series",
+    "select_assets", "sigma_direct", "sigma_regression", "simulate_gbm",
+    "solve_svd", "svd_factors", "window", "write_prices", "write_rows_csv",
+    "write_singular_csv",
 ]

@@ -23,6 +23,9 @@ import numpy as np
 
 from .pca import PcaResult
 
+STATIONARITY_TOL = 1e-12
+MAX_SWEEPS = 20000
+
 
 @dataclass(frozen=True)
 class QuantileSummary:
@@ -150,20 +153,18 @@ class FullUniverseResult:
 
 
 def compare_full_universe(result: MinRateResult, mean_returns: np.ndarray,
-                          sample_covariance: np.ndarray, *,
-                          tol: float = 1e-12,
-                          max_sweeps: int = 20000) -> FullUniverseResult:
+                          sample_covariance: np.ndarray) -> FullUniverseResult:
     """Long-only minimum-variance portfolio over the original assets.
 
     Minimizes w' C w subject to sum(w) = 1, w >= 0 by sweeping ordered asset
     pairs and applying the optimal mass transfer along each pair, clipped to
     keep both weights non-negative. Stops when the stationarity residual
-    falls below ``tol`` relative to the largest asset variance, which bounds
-    the portfolio variance and gradient, so a portfolio whose variance
-    vanishes (a long-only null vector of the covariance) still converges;
-    raises if ``max_sweeps`` sweeps do not converge. ``result`` is the
-    composite-block portfolio this full-universe solution is compared
-    against.
+    falls below ``STATIONARITY_TOL`` relative to the largest asset variance,
+    which bounds the portfolio variance and gradient, so a portfolio whose
+    variance vanishes (a long-only null vector of the covariance) still
+    converges; raises if ``MAX_SWEEPS`` sweeps do not converge. ``result``
+    is the composite-block portfolio this full-universe solution is
+    compared against.
     """
     mean_returns = np.asarray(mean_returns, dtype=np.float64)
     cov = np.asarray(sample_covariance, dtype=np.float64)
@@ -181,16 +182,16 @@ def compare_full_universe(result: MinRateResult, mean_returns: np.ndarray,
 
     w = np.full(n, 1.0 / n)
     g = cov @ w
-    floor = tol * max(float(np.max(np.diag(cov))), 1e-300)
+    floor = STATIONARITY_TOL * max(float(np.max(np.diag(cov))), 1e-300)
     sweeps = 0
     while True:
         support = w > 0.0
         stationarity = float(np.max(g[support]) - np.min(g)) if support.any() else 0.0
         if stationarity <= floor:
             break
-        if sweeps >= max_sweeps:
+        if sweeps >= MAX_SWEEPS:
             raise ValueError(f"simplex coordinate descent did not converge "
-                             f"in {max_sweeps} sweeps "
+                             f"in {MAX_SWEEPS} sweeps "
                              f"(residual {stationarity:g})")
         sweeps += 1
         g = cov @ w

@@ -8,9 +8,8 @@ principal direction is dropped.
 ``regression``  : ordinary least squares of the demeaned returns on the
                   standardized leading component scores (no intercept).
 
-In exact arithmetic the two coincide whenever the standardization divisor
-matches the PCA divisor; on real panels they differ through rounding and
-through any divisor mismatch, so both are kept as distinct code paths.
+Both divide by M-1, so in exact arithmetic the two coincide; on real panels
+they differ through rounding, so both are kept as distinct code paths.
 """
 
 from __future__ import annotations
@@ -38,19 +37,15 @@ class CalibratedModel:
     window_end_date: DateLabel
 
 
-def sigma_direct(p: PcaResult) -> np.ndarray:
-    """Loadings from the leading N-1 eigenpairs: column k is sqrt(lambda_k) w_k."""
-    lam = np.asarray(p.eigenvalues, dtype=np.float64)
-    w = np.asarray(p.eigenvectors, dtype=np.float64)
+def sigma_direct(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Loadings from the leading N-1 eigenpairs (eigenvalues ``lam``
+    descending and non-negative, eigenvector columns ``w``): column k is
+    sqrt(lambda_k) w_k."""
     n = lam.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 assets, got {n}")
-    if np.any(lam < 0.0):
-        raise ValueError("negative eigenvalue in PCA result")
     return w[:, :n - 1] * np.sqrt(lam[:n - 1])
 
 
-def sigma_regression(r: ReturnMatrix, p: PcaResult, ddof: int = 1) -> np.ndarray:
+def sigma_regression(r: ReturnMatrix, p: PcaResult) -> np.ndarray:
     """Loadings as no-intercept OLS coefficients of demeaned returns on the
     standardized leading N-1 component columns.
 
@@ -61,8 +56,6 @@ def sigma_regression(r: ReturnMatrix, p: PcaResult, ddof: int = 1) -> np.ndarray
     m, n = x.shape
     if n < 2:
         raise ValueError(f"need at least 2 assets, got {n}")
-    if ddof not in (0, 1):
-        raise ValueError(f"ddof must be 0 or 1, got {ddof}")
     means = x.mean(axis=0)
     scale = max(1.0, float(np.max(np.abs(x))))
     if np.max(np.abs(means - p.column_means)) > 1e-8 * scale:
@@ -71,7 +64,7 @@ def sigma_regression(r: ReturnMatrix, p: PcaResult, ddof: int = 1) -> np.ndarray
 
     scores = p.components[:, :n - 1]
     centered = scores - scores.mean(axis=0)
-    variances = (centered * centered).sum(axis=0) / (m - ddof)
+    variances = (centered * centered).sum(axis=0) / (m - 1)
     live = variances > 0.0
     standardized = np.zeros_like(centered)
     standardized[:, live] = centered[:, live] / np.sqrt(variances[live])
@@ -81,8 +74,7 @@ def sigma_regression(r: ReturnMatrix, p: PcaResult, ddof: int = 1) -> np.ndarray
     return coef.T
 
 
-def calibrate(r: ReturnMatrix, method: str = "direct",
-              ddof: int = 1) -> CalibratedModel:
+def calibrate(r: ReturnMatrix, method: str = "direct") -> CalibratedModel:
     """Estimate (mu, sigma) from one window of log returns."""
     if method not in METHODS:
         raise ValueError(f"unknown calibration method {method!r}")
@@ -92,19 +84,16 @@ def calibrate(r: ReturnMatrix, method: str = "direct",
     if m <= n:
         raise ValueError(f"window of {m} rows is too short for {n} assets "
                          f"(need M > N)")
-    if ddof not in (0, 1):
-        raise ValueError(f"ddof must be 0 or 1, got {ddof}")
     # The panel passed its finiteness checks when it was built, so the
     # window is centred and diagonalized without re-validation; the direct
     # route never reads the component scores and does not form them.
     means = r.values.mean(axis=0)
     x0 = r.values - means
-    lam, w = _eigenpairs(x0, ddof)
+    lam, w = _eigenpairs(x0)
     if method == "direct":
-        sigma = w[:, :n - 1] * np.sqrt(lam[:n - 1])  # as in sigma_direct
+        sigma = sigma_direct(lam, w)
     else:
-        sigma = sigma_regression(r, PcaResult(lam, w, x0 @ w, means),
-                                 ddof=ddof)
+        sigma = sigma_regression(r, PcaResult(lam, w, x0 @ w, means))
     if not np.all(np.isfinite(sigma)):
         raise ValueError("calibration produced non-finite loadings")
     return CalibratedModel(means, sigma, method, r.dates[-1])

@@ -18,7 +18,6 @@ Exit codes: 0 success, 1 ingestion errors, 2 pipeline/numerical errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -31,7 +30,7 @@ from . import __version__
 from .analysis import compare_full_universe, min_rate, quantiles
 from .market_data import (DataError, load_prices, load_universe, log_returns,
                           read_return_panel, select_assets, write_prices,
-                          _format_float)
+                          _format_float, _read_table)
 from .pca import center_columns, pca
 from .pipeline import (PipelineConfig, run_srr_series, write_rows_csv,
                        write_singular_csv)
@@ -155,7 +154,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                   for m in range(spec.steps))
     relabeled = [type(s)(s.asset_id, dates, s.prices) for s in series]
     out_path = Path(args.out)
-    write_prices(relabeled, out_path, layout="wide")
+    write_prices(relabeled, out_path)
     manifest_path = _write_manifest(out_path, {
         "tool": "shadowrate",
         "version": __version__,
@@ -182,17 +181,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    path = Path(args.input)
-    if not path.is_file():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or args.column not in reader.fieldnames:
-            raise DataError(f"{path}: no column named {args.column!r}")
-        values: list[float | None] = []
-        for record in reader:
-            cell = record[args.column]
-            values.append(None if cell in ("", None) else float(cell))
+    rows = _read_table(args.input, lambda header: args.column in header,
+                       f"no column named {args.column!r}")
+    column = next(rows).index(args.column)
+    values: list[float | None] = []
+    for line_no, row in rows:
+        cell = row[column]
+        try:
+            values.append(None if cell == "" else float(cell))
+        except ValueError:
+            raise DataError(f"line {line_no}: non-numeric value {cell!r} in "
+                            f"column {args.column!r}") from None
     summary = quantiles(values)
     print("column,count,mean,min,p25,p50,p75,max")
     print(",".join([args.column, str(summary.count)]

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from datetime import date as _date
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -123,12 +124,38 @@ class UniverseEntry:
 # CSV readers / writers
 # ---------------------------------------------------------------------------
 
-def _open_rows(path: Path | str):
+def _read_table(path: Path | str, header_ok: Callable[[list[str]], bool],
+                header_rule: str) -> Iterator:
+    """Yield a CSV table's header, then ``(line number, cells)`` for each
+    data row.
+
+    Raises :class:`DataError` for a missing or empty file, for a header that
+    fails ``header_ok`` (the message states ``header_rule``), and for a row
+    whose cell count differs from the header's. Blank rows are skipped.
+    """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        yield from csv.reader(fh)
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        if not header_ok(header):
+            raise DataError(f"{path}: {header_rule}")
+        yield header
+        width = len(header)
+        for line_no, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise DataError(f"line {line_no}: expected {width} cells, "
+                                f"got {len(row)}")
+            yield line_no, row
+
+
+def _is_dated_header(header: list[str]) -> bool:
+    return header[:1] == ["date"] and len(header) >= 2
 
 
 def _parse_price_cell(text: str, line_no: int, asset_id: str) -> float:
@@ -151,29 +178,16 @@ def load_prices(path: Path | str, layout: str = "wide") -> list[PriceSeries]:
     non-numeric cells, and non-positive prices are rejected with the offending
     line number.
     """
-    if layout not in ("wide", "long"):
-        raise DataError(f"unknown layout {layout!r}")
-    rows = _open_rows(path)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
-
     per_asset: dict[str, dict[DateLabel, float]] = {}
     if layout == "wide":
-        if not header or header[0] != "date" or len(header) < 2:
-            raise DataError(f"{path}: wide header must be 'date,<asset ids>'")
-        ids = header[1:]
+        rows = _read_table(path, _is_dated_header,
+                           "wide header must be 'date,<asset ids>'")
+        ids = next(rows)[1:]
         if len(set(ids)) != len(ids) or any(not a for a in ids):
             raise DataError(f"{path}: asset ids must be unique and non-empty")
         per_asset = {a: {} for a in ids}
         seen_dates: set[DateLabel] = set()
-        for line_no, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != len(ids) + 1:
-                raise DataError(f"line {line_no}: expected {len(ids) + 1} cells, "
-                                f"got {len(row)}")
+        for line_no, row in rows:
             label = _parse_date_label(row[0], line_no)
             if label in seen_dates:
                 raise DataError(f"line {line_no}: duplicate date {row[0]!r}")
@@ -182,14 +196,11 @@ def load_prices(path: Path | str, layout: str = "wide") -> list[PriceSeries]:
                 if cell.strip() == "":
                     continue
                 per_asset[asset_id][label] = _parse_price_cell(cell, line_no, asset_id)
-    else:
-        if header != ["date", "asset_id", "price"]:
-            raise DataError(f"{path}: long header must be 'date,asset_id,price'")
-        for line_no, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"line {line_no}: expected 3 cells, got {len(row)}")
+    elif layout == "long":
+        rows = _read_table(path, lambda h: h == ["date", "asset_id", "price"],
+                           "long header must be 'date,asset_id,price'")
+        next(rows)
+        for line_no, row in rows:
             label = _parse_date_label(row[0], line_no)
             asset_id = row[1].strip()
             if not asset_id:
@@ -199,6 +210,8 @@ def load_prices(path: Path | str, layout: str = "wide") -> list[PriceSeries]:
                 raise DataError(f"line {line_no}: duplicate (date, asset) pair "
                                 f"({row[0]!r}, {asset_id!r})")
             bucket[label] = _parse_price_cell(row[2], line_no, asset_id)
+    else:
+        raise DataError(f"unknown layout {layout!r}")
 
     out = []
     for asset_id, obs in per_asset.items():
@@ -211,52 +224,33 @@ def load_prices(path: Path | str, layout: str = "wide") -> list[PriceSeries]:
     return out
 
 
-def write_prices(series: list[PriceSeries], path: Path | str,
-                 layout: str = "wide") -> None:
-    """Write price series in the given layout; output is canonical so a
-    read-then-write cycle is byte-identical."""
-    if layout not in ("wide", "long"):
-        raise DataError(f"unknown layout {layout!r}")
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+def write_prices(series: list[PriceSeries], path: Path | str) -> None:
+    """Write price series in the wide layout (blank cell = no price on that
+    date); output is canonical so a read-then-write cycle is byte-identical."""
+    kinds = {type(d) for s in series for d in s.dates}
+    if len(kinds) > 1:
+        raise DataError("cannot mix calendar and integer dates in one file")
+    all_dates = sorted({d for s in series for d in s.dates})
+    lookup = [dict(zip(s.dates, s.prices)) for s in series]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if layout == "long":
-            writer.writerow(["date", "asset_id", "price"])
-            for s in series:
-                for d, p in zip(s.dates, s.prices):
-                    writer.writerow([_format_date_label(d), s.asset_id,
-                                     _format_float(p)])
-        else:
-            kinds = {type(d) for s in series for d in s.dates}
-            if len(kinds) > 1:
-                raise DataError("cannot mix calendar and integer dates in one file")
-            all_dates = sorted({d for s in series for d in s.dates})
-            writer.writerow(["date"] + [s.asset_id for s in series])
-            lookup = [dict(zip(s.dates, s.prices)) for s in series]
-            for d in all_dates:
-                row = [_format_date_label(d)]
-                for table in lookup:
-                    p = table.get(d)
-                    row.append("" if p is None else _format_float(p))
-                writer.writerow(row)
+        writer.writerow(["date"] + [s.asset_id for s in series])
+        for d in all_dates:
+            row = [_format_date_label(d)]
+            for table in lookup:
+                p = table.get(d)
+                row.append("" if p is None else _format_float(p))
+            writer.writerow(row)
 
 
 def load_universe(path: Path | str) -> list[UniverseEntry]:
     """Read an ``asset_id,market_cap`` CSV."""
-    rows = _open_rows(path)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
-    if header != ["asset_id", "market_cap"]:
-        raise DataError(f"{path}: header must be 'asset_id,market_cap'")
+    rows = _read_table(path, lambda h: h == ["asset_id", "market_cap"],
+                       "header must be 'asset_id,market_cap'")
+    next(rows)
     entries: list[UniverseEntry] = []
     seen: set[str] = set()
-    for line_no, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise DataError(f"line {line_no}: expected 2 cells, got {len(row)}")
+    for line_no, row in rows:
         asset_id = row[0].strip()
         if not asset_id:
             raise DataError(f"line {line_no}: empty asset id")
@@ -277,21 +271,11 @@ def load_universe(path: Path | str) -> list[UniverseEntry]:
 
 def read_return_panel(path: Path | str) -> ReturnMatrix:
     """Read a wide ``date,<ids>`` CSV of signed returns (all cells required)."""
-    rows = _open_rows(path)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
-    if not header or header[0] != "date" or len(header) < 2:
-        raise DataError(f"{path}: header must be 'date,<asset ids>'")
-    ids = header[1:]
+    rows = _read_table(path, _is_dated_header,
+                       "header must be 'date,<asset ids>'")
+    ids = next(rows)[1:]
     dated: dict[DateLabel, list[float]] = {}
-    for line_no, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != len(ids) + 1:
-            raise DataError(f"line {line_no}: expected {len(ids) + 1} cells, "
-                            f"got {len(row)}")
+    for line_no, row in rows:
         label = _parse_date_label(row[0], line_no)
         if label in dated:
             raise DataError(f"line {line_no}: duplicate date {row[0]!r}")
@@ -308,15 +292,6 @@ def read_return_panel(path: Path | str) -> ReturnMatrix:
     dates = sorted(dated)
     return ReturnMatrix(tuple(dates), tuple(ids),
                         np.array([dated[d] for d in dates]))
-
-
-def write_return_panel(panel: ReturnMatrix, path: Path | str) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date"] + list(panel.asset_ids))
-        for label, row in zip(panel.dates, panel.values):
-            writer.writerow([_format_date_label(label)]
-                            + [_format_float(v) for v in row])
 
 
 # ---------------------------------------------------------------------------

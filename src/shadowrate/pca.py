@@ -1,7 +1,7 @@
 """Principal component analysis of centered return panels.
 
 Eigenpairs come from the symmetric eigendecomposition of the sample
-covariance ``C = x0' x0 / (M - ddof)`` and are reported in non-increasing
+covariance ``C = x0' x0 / (M - 1)`` and are reported in non-increasing
 eigenvalue order. Eigenvector signs follow a fixed convention so results are
 reproducible across runs and LAPACK builds: each column is flipped so that
 its largest-absolute-value component is positive (ties broken by the lowest
@@ -40,11 +40,11 @@ def center_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x - means, means
 
 
-def _eigenpairs(x0: np.ndarray, ddof: int) -> tuple[np.ndarray, np.ndarray]:
+def _eigenpairs(x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending, clipped at zero) and sign-normalized
-    eigenvectors of ``x0' x0 / (M - ddof)``; ``x0`` is trusted to be a
-    centered, finite 2-d panel with ``M - ddof >= 1``."""
-    cov = (x0.T @ x0) / (x0.shape[0] - ddof)
+    eigenvectors of ``x0' x0 / (M - 1)``; ``x0`` is trusted to be a
+    centered, finite 2-d panel with ``M >= 2``."""
+    cov = (x0.T @ x0) / (x0.shape[0] - 1)
     lam, w = np.linalg.eigh(cov)
     lam = lam[::-1].copy()
     w = w[:, ::-1].copy()
@@ -61,12 +61,11 @@ def _eigenpairs(x0: np.ndarray, ddof: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, w
 
 
-def pca(x0: np.ndarray, column_means: np.ndarray | None = None,
-        ddof: int = 1) -> PcaResult:
-    """Diagonalize the sample covariance of an already-centered panel.
+def pca(x0: np.ndarray, column_means: np.ndarray | None = None) -> PcaResult:
+    """Diagonalize the sample covariance (divisor M-1) of an
+    already-centered panel.
 
-    ``ddof=1`` divides by M-1 (default); ``ddof=0`` divides by M. Tiny
-    negative eigenvalues from floating-point noise are clipped to zero;
+    Tiny negative eigenvalues from floating-point noise are clipped to zero;
     anything materially negative raises.
     """
     x0 = np.asarray(x0, dtype=np.float64)
@@ -75,10 +74,6 @@ def pca(x0: np.ndarray, column_means: np.ndarray | None = None,
     m, n = x0.shape
     if m < 2:
         raise ValueError(f"need at least 2 rows, got {m}")
-    if ddof not in (0, 1):
-        raise ValueError(f"ddof must be 0 or 1, got {ddof}")
-    if m - ddof < 1:
-        raise ValueError(f"divisor M - {ddof} must be positive")
     if not np.all(np.isfinite(x0)):
         raise ValueError("panel contains non-finite values")
     scale = max(1.0, float(np.max(np.abs(x0))) if x0.size else 1.0)
@@ -86,7 +81,7 @@ def pca(x0: np.ndarray, column_means: np.ndarray | None = None,
     if max_mean > 1e-8 * scale:
         raise ValueError(f"panel is not column-centered (max |mean| = {max_mean:g})")
 
-    lam, w = _eigenpairs(x0, ddof)
+    lam, w = _eigenpairs(x0)
     components = x0 @ w
     if column_means is None:
         column_means = np.zeros(n)

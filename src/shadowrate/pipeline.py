@@ -29,7 +29,7 @@ import numpy as np
 
 from .calibration import METHODS, CalibratedModel, calibrate
 from .market_data import DataError, DateLabel, ReturnMatrix, window, \
-    _format_date_label, _format_float, _parse_date_label
+    _format_date_label, _format_float
 from .regularization import MODES, ClampState, regularize_singulars, clamp
 from .solver import SingularMatrixError, build_phi, solve_svd, svd_factors
 
@@ -109,7 +109,7 @@ class SrrRun:
     config: PipelineConfig
 
 
-def _fresh_states(n: int, cfg: PipelineConfig) -> RegularizerStates:
+def _fresh_states(cfg: PipelineConfig) -> RegularizerStates:
     return RegularizerStates(d_state=ClampState(epsilon=cfg.epsilon),
                              nu_state=ClampState(epsilon=cfg.delta_nu),
                              sigma_state=ClampState(epsilon=cfg.delta_sigma))
@@ -147,7 +147,7 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
         raise ValueError(f"start_index {first} after end_index {last}")
 
     mode = cfg.resolved_svd_mode()
-    st = _fresh_states(n, cfg) if states is None else states
+    st = _fresh_states(cfg) if states is None else states
     for state, size in ((st.d_state, n), (st.sigma_state, n - 1)):
         if state.previous is not None and np.shape(state.previous) != (size,):
             raise ValueError("clamp states do not match the panel's asset "
@@ -206,14 +206,6 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
     return SrrRun(rows, spectra, final, cfg)
 
 
-def trajectory(rows: list[SrrSeriesRow]) -> list[tuple[float, float]]:
-    """Date-ordered (sigma_pi_hat, nu_hat) pairs; degenerate rows are skipped."""
-    if not rows:
-        raise ValueError("no rows to build a trajectory from")
-    return [(row.sigma_pi_hat, row.nu_hat) for row in rows
-            if row.sigma_pi_hat is not None and row.nu_hat is not None]
-
-
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
@@ -247,34 +239,3 @@ def write_singular_csv(spectra: list[tuple[DateLabel, np.ndarray]],
         for label, d in spectra:
             writer.writerow([_format_date_label(label)]
                             + [_format_float(v) for v in d])
-
-
-def read_rows_csv(path: Path | str) -> list[SrrSeriesRow]:
-    """Read back a rows CSV written by :func:`write_rows_csv`."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ROWS_HEADER.split(","):
-            raise DataError(f"{path}: unexpected header {header!r}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 11:
-                raise DataError(f"line {line_no}: expected 11 cells, "
-                                f"got {len(row)}")
-            label = _parse_date_label(row[0], line_no)
-
-            def _value(cell: str) -> float | None:
-                return None if cell == "" else float(cell)
-
-            rows.append(SrrSeriesRow(
-                date=label, nu_raw=_value(row[1]), nu_eps=_value(row[2]),
-                nu_hat=_value(row[3]), sigma_pi_raw=_value(row[4]),
-                sigma_pi_hat=_value(row[5]), kappa_raw=float(row[6]),
-                kappa_eps=float(row[7]), d_min_raw=float(row[8]),
-                d_min_eps=float(row[9]), residual_norm=_value(row[10])))
-    return rows

@@ -46,10 +46,6 @@ class ClampState:
         if self.previous is not None and not np.isfinite(self.previous).all():
             raise ValueError(f"previous level must be finite, got {self.previous!r}")
 
-    @property
-    def initialized(self) -> bool:
-        return self.previous is not None
-
 
 def clamp(state: ClampState, raw) -> tuple[float | np.ndarray, ClampState]:
     """One recursion step; returns (clamped value, advanced state).
@@ -91,10 +87,9 @@ def clamp(state: ClampState, raw) -> tuple[float | np.ndarray, ClampState]:
 
 @dataclass(frozen=True)
 class RegularizedSvd:
-    """Clamped singular spectrum and the mode that produced it."""
+    """Clamped singular spectrum."""
 
     d_bar: np.ndarray
-    mode: str
 
 
 def regularize_singulars(
@@ -120,7 +115,7 @@ def regularize_singulars(
                          f"spectrum of {d.size} values")
     if mode == "all":
         d_bar, state = clamp(state, d)
-        return RegularizedSvd(d_bar, mode), state
+        return RegularizedSvd(d_bar), state
     last, _ = clamp(ClampState(state.epsilon,
                                None if previous is None else float(previous[-1])),
                     d[-1])
@@ -128,14 +123,4 @@ def regularize_singulars(
     d_bar[-1] = last
     levels = np.zeros(d.size) if previous is None else previous.copy()
     levels[-1] = last
-    return RegularizedSvd(d_bar, mode), ClampState(state.epsilon, levels)
-
-
-def secondary_regularize(series, delta: float) -> list[float]:
-    """Fold the clamp over a finite series, seeding on its first element."""
-    state = ClampState(epsilon=delta)
-    out: list[float] = []
-    for value in series:
-        clamped, state = clamp(state, float(value))
-        out.append(clamped)
-    return out
+    return RegularizedSvd(d_bar), ClampState(state.epsilon, levels)

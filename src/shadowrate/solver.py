@@ -8,29 +8,21 @@ linear system
 
 where ``nu`` is the implied (shadow) riskless rate, ``s`` the deflator
 volatility vector, ``mu`` the per-asset drifts and ``sigma`` the N x (N-1)
-loading matrix. Three routes are provided: pivoted LU, SVD (supporting a
-substituted singular spectrum for regularized solves), and a
-determinant-ratio form kept as an independent cross-check for tests.
+loading matrix. The system is solved through its SVD, which also allows a
+substituted singular spectrum for the regularized solves.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 PIVOT_FLOOR = 1e-14
 
 
 class SingularMatrixError(ValueError):
     """The coefficient matrix is numerically singular."""
-
-    def __init__(self, message: str, pivot_index: int | None = None):
-        super().__init__(message)
-        self.pivot_index = pivot_index
 
 
 @dataclass(frozen=True)
@@ -85,43 +77,6 @@ def svd_factors(phi: np.ndarray) -> SvdFactors:
     return SvdFactors(u, d, vh.T)
 
 
-def condition_number(phi: np.ndarray) -> float:
-    """Spectral condition number d_1 / d_N; +inf for an exactly singular matrix."""
-    d = np.linalg.svd(np.asarray(phi, dtype=np.float64), compute_uv=False)
-    d_min = float(d[-1])
-    if d_min == 0.0:
-        return math.inf
-    return float(d[0]) / d_min
-
-
-def _solution(x: np.ndarray, phi: np.ndarray, mu: np.ndarray,
-              kappa: float) -> DeflatorSolution:
-    residual = float(np.linalg.norm(phi @ x - mu))
-    sigma_pi = x[1:].copy()
-    return DeflatorSolution(nu=float(x[0]), sigma_pi=sigma_pi,
-                            sigma_pi_total=float(np.linalg.norm(sigma_pi)),
-                            residual_norm=residual, kappa=kappa)
-
-
-def solve_lu(system: PhiSystem) -> DeflatorSolution:
-    """Solve via pivoted LU; raises with the failing pivot index if a pivot
-    falls at or below ``PIVOT_FLOOR * max|phi|``."""
-    phi, mu = system.phi, system.mu
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exact singularity
-        lu, piv = scipy.linalg.lu_factor(phi)
-    pivots = np.abs(np.diag(lu))
-    floor = PIVOT_FLOOR * float(np.max(np.abs(phi)))
-    bad = np.nonzero(pivots <= floor)[0]
-    if bad.size:
-        index = int(bad[0])
-        raise SingularMatrixError(
-            f"singular system: pivot {index} has magnitude "
-            f"{float(pivots[index]):g} (floor {floor:g})", pivot_index=index)
-    x = scipy.linalg.lu_solve((lu, piv), mu)
-    return _solution(x, phi, mu, condition_number(phi))
-
-
 def solve_svd(system: PhiSystem, d_override: np.ndarray | None = None,
               factors: SvdFactors | None = None) -> DeflatorSolution:
     """Solve via SVD, optionally substituting the singular spectrum.
@@ -149,53 +104,8 @@ def solve_svd(system: PhiSystem, d_override: np.ndarray | None = None,
             f"singular system: smallest effective singular value {d_min:g} "
             f"at or below floor {PIVOT_FLOOR * d_max:g}")
     x = f.v @ ((f.u.T @ mu) / d_eff)
-    return _solution(x, phi, mu, d_max / d_min)
-
-
-def solve_determinant(system: PhiSystem) -> float:
-    """Cramer-style cross-check: nu = det(phi with mu in column 0) / det(phi).
-
-    Kept as an independent oracle for tests; not used by the pipeline.
-    """
-    phi, mu = system.phi, system.mu
-    d = np.linalg.svd(phi, compute_uv=False)
-    if float(d[-1]) <= PIVOT_FLOOR * float(d[0]):
-        raise SingularMatrixError("singular system: determinant ratio undefined")
-    phi_mu = phi.copy()
-    phi_mu[:, 0] = mu
-    return float(np.linalg.det(phi_mu) / np.linalg.det(phi))
-
-
-def srr_two_asset(mu1: float, mu2: float, sigma1: float,
-                  sigma2: float) -> tuple[float, float]:
-    """Closed form for N = 2:
-
-        nu      = (mu1 sigma2 - mu2 sigma1) / (sigma2 - sigma1)
-        sigma_s = (mu1 - mu2) / (sigma2 - sigma1)
-
-    Raises when sigma1 == sigma2 (the system is singular).
-    """
-    if sigma1 == sigma2:
-        raise SingularMatrixError("two-asset closed form undefined for "
-                                  "equal volatilities")
-    spread = sigma2 - sigma1
-    return (mu1 * sigma2 - mu2 * sigma1) / spread, (mu1 - mu2) / spread
-
-
-def pricing_residuals(system: PhiSystem, x: np.ndarray) -> np.ndarray:
-    """Per-asset residuals of the no-arbitrage condition, phi x - mu.
-
-    Entry j equals -(mu_j - nu + sigma_j . sigma_s); for N = 2 a zero vector
-    is equivalent to the market-price-of-risk identity
-    (mu1 - nu)/sigma1 = (mu2 - nu)/sigma2 = -sigma_s.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    return system.phi @ x - system.mu
-
-
-def total_volatility(v: np.ndarray) -> float:
-    """Euclidean norm of a volatility vector; 0.0 for an empty vector."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        return 0.0
-    return float(np.linalg.norm(v))
+    sigma_pi = x[1:].copy()
+    return DeflatorSolution(nu=float(x[0]), sigma_pi=sigma_pi,
+                            sigma_pi_total=float(np.linalg.norm(sigma_pi)),
+                            residual_norm=float(np.linalg.norm(phi @ x - mu)),
+                            kappa=d_max / d_min)

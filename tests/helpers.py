@@ -1,0 +1,50 @@
+"""CSV readers and writers that only the tests need: they write inputs in
+layouts the command line never writes, and read back what it wrote."""
+
+from __future__ import annotations
+
+import csv
+from datetime import date
+from pathlib import Path
+
+from shadowrate.market_data import PriceSeries, ReturnMatrix
+from shadowrate.pipeline import ROWS_HEADER, SrrSeriesRow
+
+
+def _date_text(label) -> str:
+    return label.isoformat() if isinstance(label, date) else str(label)
+
+
+def _date_label(text: str):
+    return int(text) if text.lstrip("-").isdigit() else date.fromisoformat(text)
+
+
+def _write(path, header: list[str], rows) -> None:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_long_prices(series: list[PriceSeries], path) -> None:
+    """``date,asset_id,price`` rows, asset by asset."""
+    _write(path, ["date", "asset_id", "price"],
+           ([_date_text(d), s.asset_id, repr(float(p))]
+            for s in series for d, p in zip(s.dates, s.prices)))
+
+
+def write_return_panel(panel: ReturnMatrix, path) -> None:
+    """A wide ``date,<ids>`` table of signed returns."""
+    _write(path, ["date", *panel.asset_ids],
+           ([_date_text(d)] + [repr(float(v)) for v in row]
+            for d, row in zip(panel.dates, panel.values)))
+
+
+def read_rows_csv(path) -> list[SrrSeriesRow]:
+    """The rows of an ``srr`` rate CSV; a blank cell reads as None."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ROWS_HEADER.split(",")
+        return [SrrSeriesRow(_date_label(row[0]),
+                             *(None if c == "" else float(c) for c in row[1:]))
+                for row in reader]

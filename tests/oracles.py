@@ -1,5 +1,10 @@
 """Reference implementations kept in the test tree.
 
+``solve_lu`` (pivoted LU through ``scipy.linalg``), ``solve_determinant``
+(a determinant ratio) and ``srr_two_asset`` (the N = 2 closed form) are
+routes to the deflator solution that share nothing with the library's SVD
+solve, so the acceptance criteria can check it against them.
+
 ``oracle_srr_series`` is the original per-window engine, kept verbatim in
 its arithmetic: every window is a validated copy, centred and diagonalized
 through the checked PCA path with its component scores, and every clamped
@@ -11,17 +16,90 @@ spectra bit for bit.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from shadowrate.calibration import (METHODS, CalibratedModel, sigma_direct,
                                     sigma_regression)
 from shadowrate.market_data import DataError, ReturnMatrix
 from shadowrate.pca import PcaResult
 from shadowrate.pipeline import PipelineConfig, SrrSeriesRow
-from shadowrate.solver import (SingularMatrixError, build_phi, solve_svd,
+from shadowrate.solver import (PIVOT_FLOOR, DeflatorSolution, PhiSystem,
+                               SingularMatrixError, build_phi, solve_svd,
                                svd_factors)
+
+
+# ---------------------------------------------------------------------------
+# independent solver routes
+# ---------------------------------------------------------------------------
+
+class PivotError(SingularMatrixError):
+    """An LU pivot fell at or below the floor; ``pivot_index`` names it."""
+
+    def __init__(self, message: str, pivot_index: int):
+        super().__init__(message)
+        self.pivot_index = pivot_index
+
+
+def condition_number(phi: np.ndarray) -> float:
+    """Spectral condition number d_1 / d_N; +inf for an exactly singular matrix."""
+    d = np.linalg.svd(np.asarray(phi, dtype=np.float64), compute_uv=False)
+    d_min = float(d[-1])
+    if d_min == 0.0:
+        return math.inf
+    return float(d[0]) / d_min
+
+
+def solve_lu(system: PhiSystem) -> DeflatorSolution:
+    """Solve via pivoted LU; raises with the failing pivot index if a pivot
+    falls at or below ``PIVOT_FLOOR * max|phi|``."""
+    phi, mu = system.phi, system.mu
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on exact singularity
+        lu, piv = scipy.linalg.lu_factor(phi)
+    pivots = np.abs(np.diag(lu))
+    floor = PIVOT_FLOOR * float(np.max(np.abs(phi)))
+    bad = np.nonzero(pivots <= floor)[0]
+    if bad.size:
+        index = int(bad[0])
+        raise PivotError(f"singular system: pivot {index} has magnitude "
+                         f"{float(pivots[index]):g} (floor {floor:g})", index)
+    x = scipy.linalg.lu_solve((lu, piv), mu)
+    sigma_pi = x[1:].copy()
+    return DeflatorSolution(nu=float(x[0]), sigma_pi=sigma_pi,
+                            sigma_pi_total=float(np.linalg.norm(sigma_pi)),
+                            residual_norm=float(np.linalg.norm(phi @ x - mu)),
+                            kappa=condition_number(phi))
+
+
+def solve_determinant(system: PhiSystem) -> float:
+    """Cramer-style cross-check: nu = det(phi with mu in column 0) / det(phi)."""
+    phi, mu = system.phi, system.mu
+    d = np.linalg.svd(phi, compute_uv=False)
+    if float(d[-1]) <= PIVOT_FLOOR * float(d[0]):
+        raise SingularMatrixError("singular system: determinant ratio undefined")
+    phi_mu = phi.copy()
+    phi_mu[:, 0] = mu
+    return float(np.linalg.det(phi_mu) / np.linalg.det(phi))
+
+
+def srr_two_asset(mu1: float, mu2: float, sigma1: float,
+                  sigma2: float) -> tuple[float, float]:
+    """Closed form for N = 2:
+
+        nu      = (mu1 sigma2 - mu2 sigma1) / (sigma2 - sigma1)
+        sigma_s = (mu1 - mu2) / (sigma2 - sigma1)
+
+    Raises when sigma1 == sigma2 (the system is singular).
+    """
+    if sigma1 == sigma2:
+        raise SingularMatrixError("two-asset closed form undefined for "
+                                  "equal volatilities")
+    spread = sigma2 - sigma1
+    return (mu1 * sigma2 - mu2 * sigma1) / spread, (mu1 - mu2) / spread
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +162,7 @@ def checked_center_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x - means, means
 
 
-def checked_pca(x0: np.ndarray, column_means: np.ndarray,
-                ddof: int = 1) -> PcaResult:
+def checked_pca(x0: np.ndarray, column_means: np.ndarray) -> PcaResult:
     """Covariance eigenpairs with a per-column sign loop and the scores."""
     m, n = x0.shape
     if not np.all(np.isfinite(x0)):
@@ -93,7 +170,7 @@ def checked_pca(x0: np.ndarray, column_means: np.ndarray,
     scale = max(1.0, float(np.max(np.abs(x0))))
     if float(np.max(np.abs(x0.mean(axis=0)))) > 1e-8 * scale:
         raise ValueError("panel is not column-centered")
-    cov = (x0.T @ x0) / (m - ddof)
+    cov = (x0.T @ x0) / (m - 1)
     lam, w = np.linalg.eigh(cov)
     lam = lam[::-1].copy()
     w = w[:, ::-1].copy()
@@ -107,16 +184,16 @@ def checked_pca(x0: np.ndarray, column_means: np.ndarray,
     return PcaResult(lam, w, x0 @ w, np.asarray(column_means, dtype=np.float64))
 
 
-def checked_calibrate(r: ReturnMatrix, method: str = "direct",
-                      ddof: int = 1) -> CalibratedModel:
+def checked_calibrate(r: ReturnMatrix,
+                      method: str = "direct") -> CalibratedModel:
     if method not in METHODS:
         raise ValueError(f"unknown calibration method {method!r}")
     x0, means = checked_center_columns(r.values)
-    result = checked_pca(x0, means, ddof=ddof)
+    result = checked_pca(x0, means)
     if method == "direct":
-        sigma = sigma_direct(result)
+        sigma = sigma_direct(result.eigenvalues, result.eigenvectors)
     else:
-        sigma = sigma_regression(r, result, ddof=ddof)
+        sigma = sigma_regression(r, result)
     return CalibratedModel(means, sigma, method, r.dates[-1])
 
 

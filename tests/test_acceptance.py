@@ -19,12 +19,12 @@ from shadowrate.market_data import ReturnMatrix
 from shadowrate.pca import PcaResult, center_columns, pca
 from shadowrate.pipeline import PipelineConfig, run_srr_series
 from shadowrate.regularization import ClampState, clamp
-from shadowrate.solver import (SingularMatrixError, build_phi,
-                               solve_determinant, solve_lu, solve_svd,
-                               srr_two_asset, svd_factors)
+from shadowrate.solver import (SingularMatrixError, build_phi, solve_svd,
+                               svd_factors)
 from shadowrate.synthetic import GbmSpec, simulate_gbm
 
 from conftest import criterion
+from oracles import solve_determinant, solve_lu, srr_two_asset
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

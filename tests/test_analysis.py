@@ -8,12 +8,14 @@ import math
 import numpy as np
 import pytest
 
+from shadowrate import analysis
 from shadowrate.analysis import (MinRateResult, compare_full_universe,
                                  min_rate, min_variance_weights, quantiles)
-from shadowrate.market_data import ReturnMatrix, log_returns, \
-    write_return_panel
+from shadowrate.market_data import ReturnMatrix, log_returns
 from shadowrate.pca import PcaResult, center_columns, pca
 from shadowrate.synthetic import GbmSpec, simulate_gbm
+
+from helpers import write_return_panel
 
 
 def _spectrum(lambdas, means_shift=None, n_rows=6) -> PcaResult:
@@ -243,7 +245,7 @@ def test_full_universe_converges_on_long_only_null_portfolio(tmp_path,
     assert "full_r=" in capsys.readouterr().out
 
 
-def test_full_universe_validation() -> None:
+def test_full_universe_validation(monkeypatch) -> None:
     with pytest.raises(ValueError, match="symmetric"):
         compare_full_universe(_dummy_result(2), np.zeros(2),
                               np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -254,9 +256,10 @@ def test_full_universe_validation() -> None:
                               np.array([[1.0, 0.0], [0.0, math.nan]]))
     with pytest.raises(ValueError, match="more blocks"):
         compare_full_universe(_dummy_result(3), np.zeros(2), np.eye(2))
+    monkeypatch.setattr(analysis, "MAX_SWEEPS", 0)
     with pytest.raises(ValueError, match="converge"):
         compare_full_universe(_dummy_result(2), np.zeros(2),
-                              np.diag([4.0, 1.0]), max_sweeps=0)
+                              np.diag([4.0, 1.0]))
 
 
 def test_walk_and_full_universe_agree_on_simulated_panel() -> None:

@@ -25,7 +25,8 @@ def test_sigma_direct_hand_oracle() -> None:
                        eigenvectors=np.array([[0.6, -0.8], [0.8, 0.6]]),
                        components=np.zeros((10, 2)),
                        column_means=np.zeros(2))
-    np.testing.assert_allclose(sigma_direct(result),
+    np.testing.assert_allclose(sigma_direct(result.eigenvalues,
+                                            result.eigenvectors),
                                np.array([[0.012], [0.016]]), atol=1e-15)
 
 
@@ -34,7 +35,7 @@ def test_sigma_direct_zero_eigenvalue_gives_zero_column() -> None:
                        eigenvectors=np.eye(3),
                        components=np.zeros((10, 3)),
                        column_means=np.zeros(3))
-    sigma = sigma_direct(result)
+    sigma = sigma_direct(result.eigenvalues, result.eigenvectors)
     assert sigma.shape == (3, 2)
     np.testing.assert_array_equal(sigma[:, 1], np.zeros(3))
 

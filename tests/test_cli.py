@@ -15,7 +15,9 @@ import pytest
 import shadowrate
 from shadowrate.cli import main
 from shadowrate.market_data import UniverseEntry, select_assets
-from shadowrate.pipeline import ROWS_HEADER, read_rows_csv
+from shadowrate.pipeline import ROWS_HEADER
+
+from helpers import read_rows_csv
 
 
 def _sha256(path) -> str:
@@ -166,6 +168,24 @@ def test_stats_summarizes_a_column(tmp_path, capsys) -> None:
 
     assert main(["stats", "--input", str(out), "--column", "bogus"]) == 1
     assert "no column named" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_row", ["2000-03-01,1e-4",
+                                     "2000-03-01" + ",1e-4" * 11,
+                                     "2000-03-01,1e-4,1e-4,oops" + ",1e-4" * 7],
+                         ids=["too-few-cells", "too-many-cells", "non-numeric"])
+def test_stats_rejects_malformed_rows_with_line_number(tmp_path, capsys,
+                                                       bad_row) -> None:
+    prices = _simulate(tmp_path, steps=60, seed=7)
+    out = tmp_path / "rates.csv"
+    main(["srr", "--prices", str(prices), "--window", "30", "--out", str(out)])
+    lines = out.read_text().splitlines()
+    lines.insert(3, bad_row)  # becomes line 4 of the file
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+
+    assert main(["stats", "--input", str(out), "--column", "nu_hat"]) == 1
+    assert "line 4" in capsys.readouterr().err
 
 
 def test_select_prints_even_spread(tmp_path, capsys) -> None:

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from shadowrate.market_data import (DataError, PriceSeries, ReturnMatrix,
                                     UniverseEntry, load_prices, load_universe,
                                     log_returns, read_return_panel,
-                                    select_assets, window, write_prices,
-                                    write_return_panel)
+                                    select_assets, window, write_prices)
+
+from helpers import write_long_prices, write_return_panel
 
 
 def _series(asset_id: str, prices, start: int = 0) -> PriceSeries:
@@ -127,16 +128,19 @@ def _random_series(count: int, length: int) -> list[PriceSeries]:
 
 @pytest.mark.parametrize("layout", ["long", "wide"])
 def test_write_read_write_is_byte_identical(tmp_path, layout) -> None:
+    # the command line writes only the wide layout; the long one comes from
+    # the test helper, so this checks that load_prices reads it exactly
+    write = write_prices if layout == "wide" else write_long_prices
     series = _random_series(3, 2500)
     first = tmp_path / "first.csv"
-    write_prices(series, first, layout=layout)
+    write(series, first)
     loaded = load_prices(first, layout=layout)
     assert [s.asset_id for s in loaded] == [s.asset_id for s in series]
     for a, b in zip(loaded, series):
         assert a.dates == b.dates
         np.testing.assert_array_equal(a.prices, b.prices)
     second = tmp_path / "second.csv"
-    write_prices(loaded, second, layout=layout)
+    write(loaded, second)
     assert first.read_bytes() == second.read_bytes()
 
 

@@ -69,14 +69,6 @@ def test_covariance_reconstruction_and_trace() -> None:
     assert result.eigenvalues.sum() == pytest.approx(np.trace(cov), abs=1e-12)
 
 
-def test_divisor_choice() -> None:
-    x0, _ = center_columns(_panel(100, 3, seed=6))
-    lam_sample = pca(x0, ddof=1).eigenvalues
-    lam_population = pca(x0, ddof=0).eigenvalues
-    np.testing.assert_allclose(lam_population, lam_sample * 99 / 100,
-                               rtol=1e-12)
-
-
 def test_sign_convention_largest_component_positive() -> None:
     x0, _ = center_columns(_panel(500, 5, seed=7))
     w = pca(x0).eigenvectors

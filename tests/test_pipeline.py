@@ -9,11 +9,12 @@ import pytest
 
 from shadowrate.calibration import CalibratedModel
 from shadowrate.market_data import DataError, ReturnMatrix
-from shadowrate.pipeline import (ROWS_HEADER, PipelineConfig, read_rows_csv,
-                                 run_srr_series, trajectory, write_rows_csv,
-                                 write_singular_csv)
-from shadowrate.solver import srr_two_asset
+from shadowrate.pipeline import (ROWS_HEADER, PipelineConfig, run_srr_series,
+                                 write_rows_csv, write_singular_csv)
 from shadowrate.synthetic import GbmSpec, simulate_gbm
+
+from helpers import read_rows_csv
+from oracles import srr_two_asset
 
 FIVE_ASSET_MU = np.array([4e-4, 6e-4, 5e-4, 3e-4, 7e-4])
 FIVE_ASSET_SIGMA = np.array([
@@ -193,17 +194,6 @@ def test_rerun_is_deterministic() -> None:
     a = run_srr_series(panel, cfg)
     b = run_srr_series(panel, cfg)
     assert a.rows == b.rows
-    assert trajectory(a.rows) == trajectory(b.rows)
-
-
-def test_trajectory_pairs_and_empty() -> None:
-    panel = _gbm_panel(steps=700, seed=101)
-    run = run_srr_series(panel, PipelineConfig(window_m=600))
-    pairs = trajectory(run.rows)
-    assert len(pairs) == len(run.rows)
-    assert pairs[0] == (run.rows[0].sigma_pi_hat, run.rows[0].nu_hat)
-    with pytest.raises(ValueError):
-        trajectory([])
 
 
 def test_csv_round_trip_with_markers(tmp_path) -> None:
