@@ -17,7 +17,7 @@ from .analysis import (FullUniverseResult, MinRateResult, QuantileSummary,
                        quantiles)
 from .calibration import (CalibratedModel, calibrate, sigma_direct,
                           sigma_regression)
-from .market_data import (DataError, PriceSeries, ReturnMatrix, UniverseEntry,
+from .market_data import (DataError, PricePanel, ReturnMatrix, UniverseEntry,
                           load_prices, load_universe, log_returns,
                           read_return_panel, select_assets, window,
                           write_prices)
@@ -34,7 +34,7 @@ __all__ = [
     "__version__",
     "CalibratedModel", "ClampState", "DataError", "DeflatorSolution",
     "FullUniverseResult", "GbmSpec", "MinRateResult", "PcaResult",
-    "PhiSystem", "PipelineConfig", "PriceSeries", "QuantileSummary",
+    "PhiSystem", "PipelineConfig", "PricePanel", "QuantileSummary",
     "RegularizedSvd", "RegularizerStates", "ReturnMatrix",
     "SingularMatrixError", "SrrRun", "SrrSeriesRow", "SvdFactors",
     "UniverseEntry",

@@ -21,7 +21,7 @@ import numpy as np
 from .market_data import DateLabel, ReturnMatrix
 # center_columns and pca are not called here but stay importable from this
 # module, where benchmark/spans.py wraps them by name.
-from .pca import PcaResult, _eigenpairs, center_columns, pca  # noqa: F401
+from .pca import _eigenpairs, center_columns, pca  # noqa: F401
 
 METHODS = ("direct", "regression")
 
@@ -45,31 +45,25 @@ def sigma_direct(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w[:, :n - 1] * np.sqrt(lam[:n - 1])
 
 
-def sigma_regression(r: ReturnMatrix, p: PcaResult) -> np.ndarray:
-    """Loadings as no-intercept OLS coefficients of demeaned returns on the
-    standardized leading N-1 component columns.
+def sigma_regression(x0: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Loadings as no-intercept OLS coefficients of the column-centred window
+    ``x0`` on its standardized leading N-1 component scores ``x0 @ w``
+    (eigenvector columns ``w``, eigenvalues descending).
 
     Component columns with zero variance carry no signal and receive zero
     loadings (the degenerate-window case).
     """
-    x = r.values
-    m, n = x.shape
+    m, n = x0.shape
     if n < 2:
         raise ValueError(f"need at least 2 assets, got {n}")
-    means = x.mean(axis=0)
-    scale = max(1.0, float(np.max(np.abs(x))))
-    if np.max(np.abs(means - p.column_means)) > 1e-8 * scale:
-        raise ValueError("PCA result does not match the panel (column means differ)")
-    xc = x - means
-
-    scores = p.components[:, :n - 1]
+    scores = (x0 @ w)[:, :n - 1]
     centered = scores - scores.mean(axis=0)
     variances = (centered * centered).sum(axis=0) / (m - 1)
     live = variances > 0.0
     standardized = np.zeros_like(centered)
     standardized[:, live] = centered[:, live] / np.sqrt(variances[live])
 
-    coef, *_ = np.linalg.lstsq(standardized, xc, rcond=None)
+    coef, *_ = np.linalg.lstsq(standardized, x0, rcond=None)
     coef[~live, :] = 0.0
     return coef.T
 
@@ -85,15 +79,15 @@ def calibrate(r: ReturnMatrix, method: str = "direct") -> CalibratedModel:
         raise ValueError(f"window of {m} rows is too short for {n} assets "
                          f"(need M > N)")
     # The panel passed its finiteness checks when it was built, so the
-    # window is centred and diagonalized without re-validation; the direct
-    # route never reads the component scores and does not form them.
+    # window is centred once and diagonalized without re-validation; only
+    # the regression route forms the component scores.
     means = r.values.mean(axis=0)
     x0 = r.values - means
     lam, w = _eigenpairs(x0)
     if method == "direct":
         sigma = sigma_direct(lam, w)
     else:
-        sigma = sigma_regression(r, PcaResult(lam, w, x0 @ w, means))
+        sigma = sigma_regression(x0, w)
     if not np.all(np.isfinite(sigma)):
         raise ValueError("calibration produced non-finite loadings")
     return CalibratedModel(means, sigma, method, r.dates[-1])

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 ingestion errors, 2 pipeline/numerical errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -49,16 +50,10 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_path: Path, manifest: dict) -> Path:
-    manifest_path = out_path.with_suffix("").with_name(
-        out_path.with_suffix("").name + ".manifest.json")
+    manifest_path = out_path.with_suffix(".manifest.json")
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2)
                              + "\n", encoding="utf-8")
     return manifest_path
-
-
-def _sibling(out_path: Path, tag: str) -> Path:
-    return out_path.with_suffix("").with_name(
-        out_path.with_suffix("").name + f".{tag}.csv")
 
 
 def _parse_floats(text: str, flag: str, count: int) -> np.ndarray:
@@ -91,8 +86,8 @@ def _parse_matrix(text: str, flag: str, rows: int, cols: int) -> np.ndarray:
 
 def _cmd_srr(args: argparse.Namespace) -> int:
     prices_path = Path(args.prices)
-    series = load_prices(prices_path, layout=args.layout)
-    panel = log_returns(series, policy=args.align)
+    panel = log_returns(load_prices(prices_path, layout=args.layout),
+                        policy=args.align)
     cfg = PipelineConfig(
         window_m=args.window, method=args.method, epsilon=args.epsilon,
         delta_nu=args.delta_nu, delta_sigma=args.delta_sigma,
@@ -101,22 +96,15 @@ def _cmd_srr(args: argparse.Namespace) -> int:
 
     out_path = Path(args.out)
     write_rows_csv(run.rows, out_path)
-    singular_path = _sibling(out_path, "singular-values")
+    singular_path = out_path.with_suffix(".singular-values.csv")
     write_singular_csv(run.singular_values, singular_path)
     manifest_path = _write_manifest(out_path, {
         "tool": "shadowrate",
         "version": __version__,
         "command": "srr",
-        "config": {
-            "window_m": cfg.window_m,
-            "method": cfg.method,
-            "epsilon": cfg.epsilon,
-            "delta_nu": cfg.delta_nu,
-            "delta_sigma": cfg.delta_sigma,
-            "svd_mode": cfg.resolved_svd_mode(),
-            "layout": args.layout,
-            "align": args.align,
-        },
+        "config": {**dataclasses.asdict(cfg),
+                   "svd_mode": cfg.resolved_svd_mode(),
+                   "layout": args.layout, "align": args.align},
         "input": {
             "path": str(prices_path),
             "algorithm": HASH_ALGORITHM,
@@ -147,14 +135,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.s0 is not None:
         s0 = _parse_floats(args.s0, "--s0", n)
     spec = GbmSpec(mu=mu, sigma=sigma, s0=s0, steps=args.steps, seed=args.seed)
-    series, _ = simulate_gbm(spec)
+    prices, _ = simulate_gbm(spec)
 
     # Re-label the integer step dates as calendar dates for the CSV surface.
-    dates = tuple(SIMULATE_BASE_DATE + timedelta(days=m)
-                  for m in range(spec.steps))
-    relabeled = [type(s)(s.asset_id, dates, s.prices) for s in series]
+    dates = [SIMULATE_BASE_DATE + timedelta(days=m) for m in range(spec.steps)]
     out_path = Path(args.out)
-    write_prices(relabeled, out_path)
+    write_prices(dataclasses.replace(prices, dates=dates), out_path)
     manifest_path = _write_manifest(out_path, {
         "tool": "shadowrate",
         "version": __version__,
@@ -209,13 +195,11 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_min_rate(args: argparse.Namespace) -> int:
-    if (args.returns is None) == (args.prices is None):
-        raise DataError("exactly one of --returns / --prices is required")
     if args.returns is not None:
         panel = read_return_panel(Path(args.returns))
     else:
-        series = load_prices(Path(args.prices), layout=args.layout)
-        panel = log_returns(series, policy=args.align)
+        panel = log_returns(load_prices(Path(args.prices), layout=args.layout),
+                            policy=args.align)
 
     centered, means = center_columns(panel.values)
     result = min_rate(pca(centered, column_means=means), means, args.k0,

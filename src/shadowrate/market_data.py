@@ -1,5 +1,10 @@
 """Price-panel ingestion, log-return construction, and universe selection.
 
+Prices travel as one :class:`PricePanel`: a dates x assets matrix in which
+NaN marks a date with no observation. ``load_prices`` builds it from either
+CSV layout, ``log_returns`` turns its complete rows into a
+:class:`ReturnMatrix`, and ``write_prices`` writes it back in the wide layout.
+
 CSV surfaces
 ------------
 long layout   : header ``date,asset_id,price``, one observation per row
@@ -31,10 +36,11 @@ class DataError(ValueError):
 
 def _parse_date_label(text: str, line_no: int) -> DateLabel:
     token = text.strip()
-    try:
-        return int(token)
-    except ValueError:
-        pass
+    if "-" not in token[1:]:  # int() fails on a "-" past the sign
+        try:
+            return int(token)
+        except ValueError:
+            pass
     try:
         return _date.fromisoformat(token)
     except ValueError:
@@ -50,7 +56,15 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
-def _check_increasing(dates, context: str) -> None:
+def _date_order(label: DateLabel) -> tuple[bool, DateLabel]:
+    # Sort key that groups calendar and integer dates instead of comparing
+    # them, so a mixed file reaches the kind check in _check_dates.
+    return isinstance(label, int), label
+
+
+def _check_dates(dates, context: str) -> None:
+    if len({type(d) for d in dates}) > 1:
+        raise DataError(f"{context}: mixed calendar and integer dates")
     for a, b in zip(dates, dates[1:]):
         if not a < b:
             raise DataError(f"{context}: dates must be strictly increasing "
@@ -58,25 +72,34 @@ def _check_increasing(dates, context: str) -> None:
 
 
 @dataclass(frozen=True)
-class PriceSeries:
-    """Positive price observations for one asset on strictly increasing dates."""
+class PricePanel:
+    """Prices of N assets on shared dates: ``prices[m, j]`` is asset j's
+    price on ``dates[m]``, and NaN marks a date with no observation."""
 
-    asset_id: str
     dates: tuple[DateLabel, ...]
+    asset_ids: tuple[str, ...]
     prices: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "asset_ids", tuple(self.asset_ids))
         prices = np.asarray(self.prices, dtype=np.float64)
         object.__setattr__(self, "prices", prices)
-        if len(self.dates) < 2:
-            raise DataError(f"asset {self.asset_id!r}: need at least 2 observations")
-        if prices.shape != (len(self.dates),):
-            raise DataError(f"asset {self.asset_id!r}: {len(self.dates)} dates but "
-                            f"price array of shape {prices.shape}")
-        if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
-            raise DataError(f"asset {self.asset_id!r}: prices must be positive and finite")
-        _check_increasing(self.dates, f"asset {self.asset_id!r}")
+        m, n = len(self.dates), len(self.asset_ids)
+        if prices.shape != (m, n):
+            raise DataError(f"price panel shape {prices.shape} does not match "
+                            f"{m} dates x {n} assets")
+        if len(set(self.asset_ids)) != n or not all(self.asset_ids):
+            raise DataError("duplicate or empty asset ids in price panel")
+        for asset_id, column in zip(self.asset_ids, prices.T):
+            observed = column[~np.isnan(column)]
+            if observed.size < 2:
+                raise DataError(f"asset {asset_id!r}: need at least 2 "
+                                f"observations")
+            if not np.all((observed > 0.0) & (observed < math.inf)):
+                raise DataError(f"asset {asset_id!r}: prices must be "
+                                f"positive and finite")
+        _check_dates(self.dates, "price panel")
 
 
 @dataclass(frozen=True)
@@ -102,7 +125,7 @@ class ReturnMatrix:
             raise DataError("duplicate asset ids in return panel")
         if not np.all(np.isfinite(values)):
             raise DataError("return panel contains non-finite values")
-        _check_increasing(self.dates, "return panel")
+        _check_dates(self.dates, "return panel")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -170,36 +193,46 @@ def _parse_price_cell(text: str, line_no: int, asset_id: str) -> float:
     return value
 
 
-def load_prices(path: Path | str, layout: str = "wide") -> list[PriceSeries]:
-    """Read a price CSV into one :class:`PriceSeries` per asset.
+def _read_wide(path: Path | str, header_rule: str,
+               parse_cell: Callable[[str, int, str], float]
+               ) -> tuple[list[str], list[DateLabel], np.ndarray]:
+    """Read a ``date,<ids>`` table into its ids, its sorted dates and the
+    matching matrix of ``parse_cell(text, line_no, asset_id)``; a duplicate
+    date or a table without data rows raises :class:`DataError`."""
+    rows = _read_table(path, _is_dated_header, header_rule)
+    ids = next(rows)[1:]
+    dated: dict[DateLabel, list[float]] = {}
+    for line_no, row in rows:
+        label = _parse_date_label(row[0], line_no)
+        if label in dated:
+            raise DataError(f"line {line_no}: duplicate date {row[0]!r}")
+        dated[label] = [parse_cell(cell, line_no, asset_id)
+                        for asset_id, cell in zip(ids, row[1:])]
+    if not dated:
+        raise DataError(f"{path}: no data rows")
+    dates = sorted(dated, key=_date_order)
+    return ids, dates, np.array([dated[d] for d in dates])
 
-    ``layout`` is ``"wide"`` (one column per asset, blank cell = missing) or
-    ``"long"`` (``date,asset_id,price`` rows). Duplicate (date, asset) pairs,
-    non-numeric cells, and non-positive prices are rejected with the offending
-    line number.
+
+def load_prices(path: Path | str, layout: str = "wide") -> PricePanel:
+    """Read a price CSV into a :class:`PricePanel`.
+
+    ``layout`` is ``"wide"`` (one column per asset in header order, blank
+    cell = missing) or ``"long"`` (``date,asset_id,price`` rows; columns in
+    order of first appearance). Duplicate dates or (date, asset) pairs,
+    non-numeric cells, and non-positive prices are rejected with the
+    offending line number.
     """
-    per_asset: dict[str, dict[DateLabel, float]] = {}
     if layout == "wide":
-        rows = _read_table(path, _is_dated_header,
-                           "wide header must be 'date,<asset ids>'")
-        ids = next(rows)[1:]
-        if len(set(ids)) != len(ids) or any(not a for a in ids):
-            raise DataError(f"{path}: asset ids must be unique and non-empty")
-        per_asset = {a: {} for a in ids}
-        seen_dates: set[DateLabel] = set()
-        for line_no, row in rows:
-            label = _parse_date_label(row[0], line_no)
-            if label in seen_dates:
-                raise DataError(f"line {line_no}: duplicate date {row[0]!r}")
-            seen_dates.add(label)
-            for asset_id, cell in zip(ids, row[1:]):
-                if cell.strip() == "":
-                    continue
-                per_asset[asset_id][label] = _parse_price_cell(cell, line_no, asset_id)
+        ids, dates, prices = _read_wide(
+            path, "wide header must be 'date,<asset ids>'",
+            lambda cell, line_no, asset_id: math.nan if cell.strip() == ""
+            else _parse_price_cell(cell, line_no, asset_id))
     elif layout == "long":
         rows = _read_table(path, lambda h: h == ["date", "asset_id", "price"],
                            "long header must be 'date,asset_id,price'")
         next(rows)
+        per_asset: dict[str, dict[DateLabel, float]] = {}
         for line_no, row in rows:
             label = _parse_date_label(row[0], line_no)
             asset_id = row[1].strip()
@@ -210,37 +243,27 @@ def load_prices(path: Path | str, layout: str = "wide") -> list[PriceSeries]:
                 raise DataError(f"line {line_no}: duplicate (date, asset) pair "
                                 f"({row[0]!r}, {asset_id!r})")
             bucket[label] = _parse_price_cell(row[2], line_no, asset_id)
+        ids = list(per_asset)
+        dates = sorted(set().union(*per_asset.values()), key=_date_order)
+        row_of = {d: m for m, d in enumerate(dates)}
+        prices = np.full((len(dates), len(ids)), np.nan)
+        for j, bucket in enumerate(per_asset.values()):
+            prices[[row_of[d] for d in bucket], j] = list(bucket.values())
     else:
         raise DataError(f"unknown layout {layout!r}")
-
-    out = []
-    for asset_id, obs in per_asset.items():
-        key_kinds = {type(d) for d in obs}
-        if len(key_kinds) > 1:
-            raise DataError(f"asset {asset_id!r}: mixed calendar and integer dates")
-        dates = sorted(obs)
-        out.append(PriceSeries(asset_id, tuple(dates),
-                               np.array([obs[d] for d in dates])))
-    return out
+    return PricePanel(tuple(dates), tuple(ids), prices)
 
 
-def write_prices(series: list[PriceSeries], path: Path | str) -> None:
-    """Write price series in the wide layout (blank cell = no price on that
+def write_prices(panel: PricePanel, path: Path | str) -> None:
+    """Write a price panel in the wide layout (blank cell = no price on that
     date); output is canonical so a read-then-write cycle is byte-identical."""
-    kinds = {type(d) for s in series for d in s.dates}
-    if len(kinds) > 1:
-        raise DataError("cannot mix calendar and integer dates in one file")
-    all_dates = sorted({d for s in series for d in s.dates})
-    lookup = [dict(zip(s.dates, s.prices)) for s in series]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date"] + [s.asset_id for s in series])
-        for d in all_dates:
-            row = [_format_date_label(d)]
-            for table in lookup:
-                p = table.get(d)
-                row.append("" if p is None else _format_float(p))
-            writer.writerow(row)
+        writer.writerow(["date", *panel.asset_ids])
+        for d, row in zip(panel.dates, panel.prices.tolist()):
+            writer.writerow([_format_date_label(d)]
+                            + ["" if math.isnan(p) else _format_float(p)
+                               for p in row])
 
 
 def load_universe(path: Path | str) -> list[UniverseEntry]:
@@ -269,74 +292,50 @@ def load_universe(path: Path | str) -> list[UniverseEntry]:
     return entries
 
 
+def _parse_return_cell(text: str, line_no: int, asset_id: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DataError(f"line {line_no}: non-numeric return cell {text!r} "
+                        f"for asset {asset_id!r}") from None
+
+
 def read_return_panel(path: Path | str) -> ReturnMatrix:
     """Read a wide ``date,<ids>`` CSV of signed returns (all cells required)."""
-    rows = _read_table(path, _is_dated_header,
-                       "header must be 'date,<asset ids>'")
-    ids = next(rows)[1:]
-    dated: dict[DateLabel, list[float]] = {}
-    for line_no, row in rows:
-        label = _parse_date_label(row[0], line_no)
-        if label in dated:
-            raise DataError(f"line {line_no}: duplicate date {row[0]!r}")
-        try:
-            values = [float(c) for c in row[1:]]
-        except ValueError:
-            raise DataError(f"line {line_no}: non-numeric return cell") from None
-        dated[label] = values
-    if not dated:
-        raise DataError(f"{path}: no data rows")
-    kinds = {type(d) for d in dated}
-    if len(kinds) > 1:
-        raise DataError(f"{path}: mixed calendar and integer dates")
-    dates = sorted(dated)
-    return ReturnMatrix(tuple(dates), tuple(ids),
-                        np.array([dated[d] for d in dates]))
+    ids, dates, values = _read_wide(path, "header must be 'date,<asset ids>'",
+                                    _parse_return_cell)
+    return ReturnMatrix(tuple(dates), tuple(ids), values)
 
 
 # ---------------------------------------------------------------------------
 # Panel construction
 # ---------------------------------------------------------------------------
 
-def log_returns(series: list[PriceSeries],
+def log_returns(panel: PricePanel,
                 policy: str = "intersect-dates") -> ReturnMatrix:
-    """Align price series on a shared date grid and take log ratios.
+    """Take log ratios of consecutive prices on the dates every asset shares.
 
-    ``values[m][j] = ln(P_j(d_{m+1}) / P_j(d_m))`` on the aligned grid; row m
+    ``values[m][j] = ln(P_j(d_{m+1}) / P_j(d_m))`` over those dates; row m
     carries the later date of its pair. ``policy`` is ``"intersect-dates"``
-    (use dates common to all series) or ``"error-on-gap"`` (all series must
-    share an identical grid).
+    (drop every date on which some asset has no price) or ``"error-on-gap"``
+    (a missing price is an error naming the first such asset and date).
     """
-    if not series:
-        raise DataError("no price series given")
-    ids = [s.asset_id for s in series]
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate asset ids")
     if policy not in ("intersect-dates", "error-on-gap"):
         raise DataError(f"unknown alignment policy {policy!r}")
-
-    date_sets = [set(s.dates) for s in series]
-    if policy == "intersect-dates":
-        common = set.intersection(*date_sets)
-        if len(common) < 2:
-            raise DataError(f"fewer than 2 common dates across {len(series)} series")
-        aligned = sorted(common)
-    else:
-        union = sorted(set.union(*date_sets))
-        for s, have in zip(series, date_sets):
-            missing = [d for d in union if d not in have]
-            if missing:
-                raise DataError(f"asset {s.asset_id!r} has a date gap at "
-                                f"{_format_date_label(missing[0])}")
-        aligned = union
-
-    columns = []
-    for s in series:
-        table = dict(zip(s.dates, s.prices))
-        prices = np.array([table[d] for d in aligned])
-        columns.append(np.log(prices[1:] / prices[:-1]))
-    return ReturnMatrix(tuple(aligned[1:]), tuple(ids),
-                        np.column_stack(columns))
+    gap = np.isnan(panel.prices)
+    if policy == "error-on-gap" and gap.any():
+        j = int(gap.any(axis=0).argmax())
+        first = panel.dates[gap[:, j].argmax()]
+        raise DataError(f"asset {panel.asset_ids[j]!r} has a date gap at "
+                        f"{_format_date_label(first)}")
+    complete = ~gap.any(axis=1)
+    if complete.sum() < 2:
+        raise DataError(f"fewer than 2 common dates across "
+                        f"{len(panel.asset_ids)} assets")
+    dates = [panel.dates[m] for m in np.flatnonzero(complete)]
+    p = panel.prices[complete]
+    return ReturnMatrix(tuple(dates[1:]), panel.asset_ids,
+                        np.log(p[1:] / p[:-1]))
 
 
 def window(panel: ReturnMatrix, end_index: int, m: int) -> ReturnMatrix:

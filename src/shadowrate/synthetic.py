@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import PriceSeries, ReturnMatrix, log_returns
+from .market_data import PricePanel, ReturnMatrix, log_returns
 
 GENERATOR_NAME = "philox"
 
@@ -57,9 +57,9 @@ class GbmSpec:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
 
 
-def simulate_gbm(spec: GbmSpec) -> tuple[list[PriceSeries], ReturnMatrix]:
-    """Simulate one panel; returns (price series with integer dates 0..steps-1,
-    the matching log-return panel)."""
+def simulate_gbm(spec: GbmSpec) -> tuple[PricePanel, ReturnMatrix]:
+    """Simulate one panel; returns (prices of assets A1..AN on integer dates
+    0..steps-1, the matching log-return panel)."""
     n = spec.mu.shape[0]
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     z = rng.standard_normal((spec.steps - 1, n - 1))
@@ -69,6 +69,6 @@ def simulate_gbm(spec: GbmSpec) -> tuple[list[PriceSeries], ReturnMatrix]:
     prices[0] = spec.s0
     prices[1:] = spec.s0[np.newaxis, :] * np.exp(np.cumsum(increments, axis=0))
 
-    dates = tuple(range(spec.steps))
-    series = [PriceSeries(f"A{j + 1}", dates, prices[:, j]) for j in range(n)]
-    return series, log_returns(series, policy="error-on-gap")
+    panel = PricePanel(tuple(range(spec.steps)),
+                       tuple(f"A{j + 1}" for j in range(n)), prices)
+    return panel, log_returns(panel, policy="error-on-gap")

@@ -1,14 +1,24 @@
-"""CSV readers and writers that only the tests need: they write inputs in
-layouts the command line never writes, and read back what it wrote."""
+"""CSV inputs, readers and writers that only the tests need: they write
+inputs in layouts the command line never writes, and read back what it
+wrote."""
 
 from __future__ import annotations
 
 import csv
+import math
 from datetime import date
 from pathlib import Path
 
-from shadowrate.market_data import PriceSeries, ReturnMatrix
+from shadowrate.market_data import PricePanel, ReturnMatrix
 from shadowrate.pipeline import ROWS_HEADER, SrrSeriesRow
+
+# Price files in both layouts whose assets each keep to one date kind, while
+# the file as a whole mixes calendar and integer dates.
+MIXED_DATE_KINDS = {
+    "wide": "date,A,B\n2020-01-01,1.0,\n2020-01-02,2.0,\n5,,3.0\n6,,4.0\n",
+    "long": "date,asset_id,price\n2020-01-01,A,1.0\n2020-01-02,A,2.0\n"
+            "5,B,3.0\n6,B,4.0\n",
+}
 
 
 def _date_text(label) -> str:
@@ -26,11 +36,13 @@ def _write(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def write_long_prices(series: list[PriceSeries], path) -> None:
-    """``date,asset_id,price`` rows, asset by asset."""
+def write_long_prices(panel: PricePanel, path) -> None:
+    """``date,asset_id,price`` rows, asset by asset; a NaN price has no row."""
+    columns = zip(panel.asset_ids, panel.prices.T.tolist())
     _write(path, ["date", "asset_id", "price"],
-           ([_date_text(d), s.asset_id, repr(float(p))]
-            for s in series for d, p in zip(s.dates, s.prices)))
+           ([_date_text(d), asset_id, repr(p)]
+            for asset_id, column in columns
+            for d, p in zip(panel.dates, column) if not math.isnan(p)))
 
 
 def write_return_panel(panel: ReturnMatrix, path) -> None:

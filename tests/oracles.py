@@ -193,7 +193,7 @@ def checked_calibrate(r: ReturnMatrix,
     if method == "direct":
         sigma = sigma_direct(result.eigenvalues, result.eigenvectors)
     else:
-        sigma = sigma_regression(r, result)
+        sigma = sigma_regression(x0, result.eigenvectors)
     return CalibratedModel(means, sigma, method, r.dates[-1])
 
 

@@ -102,18 +102,8 @@ def test_regression_zero_panel_gives_zero_loadings() -> None:
     panel = _panel(np.full((10, 3), 0.004))
     x0, means = center_columns(panel.values)
     result = pca(x0, column_means=means)
-    sigma = sigma_regression(panel, result)
+    sigma = sigma_regression(x0, result.eigenvectors)
     np.testing.assert_array_equal(sigma, np.zeros((3, 2)))
-
-
-def test_regression_rejects_mismatched_pca_result() -> None:
-    rng = np.random.default_rng(3)
-    panel_a = _panel(0.02 * rng.standard_normal((50, 3)))
-    panel_b = _panel(0.02 * rng.standard_normal((50, 3)) + 0.5)
-    x0, means = center_columns(panel_a.values)
-    result = pca(x0, column_means=means)
-    with pytest.raises(ValueError, match="does not match"):
-        sigma_regression(panel_b, result)
 
 
 def test_calibrated_model_shape_for_n_assets() -> None:

@@ -17,7 +17,7 @@ from shadowrate.cli import main
 from shadowrate.market_data import UniverseEntry, select_assets
 from shadowrate.pipeline import ROWS_HEADER
 
-from helpers import read_rows_csv
+from helpers import MIXED_DATE_KINDS, read_rows_csv
 
 
 def _sha256(path) -> str:
@@ -149,6 +149,17 @@ def test_srr_exit_codes(tmp_path, capsys) -> None:
     assert main(["srr", "--prices", str(prices), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 4
+
+
+@pytest.mark.parametrize("layout", ["wide", "long"])
+def test_srr_rejects_mixed_date_kinds(tmp_path, capsys, layout) -> None:
+    prices = tmp_path / "mixed.csv"
+    prices.write_text(MIXED_DATE_KINDS[layout])
+    code = main(["srr", "--prices", str(prices), "--layout", layout,
+                 "--align", "error-on-gap", "--window", "2",
+                 "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert "mixed calendar and integer dates" in capsys.readouterr().err
 
 
 def test_stats_summarizes_a_column(tmp_path, capsys) -> None:

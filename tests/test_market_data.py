@@ -10,37 +10,53 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowrate.market_data import (DataError, PriceSeries, ReturnMatrix,
+from shadowrate.market_data import (DataError, PricePanel, ReturnMatrix,
                                     UniverseEntry, load_prices, load_universe,
                                     log_returns, read_return_panel,
                                     select_assets, window, write_prices)
 
-from helpers import write_long_prices, write_return_panel
+from helpers import MIXED_DATE_KINDS, write_long_prices, write_return_panel
+
+NAN = math.nan
 
 
-def _series(asset_id: str, prices, start: int = 0) -> PriceSeries:
-    return PriceSeries(asset_id, tuple(range(start, start + len(prices))),
-                       np.asarray(prices, dtype=float))
+def _single(asset_id: str, prices, start: int = 0) -> PricePanel:
+    """One asset priced on the integer dates start, start + 1, ..."""
+    return PricePanel(range(start, start + len(prices)), (asset_id,),
+                      np.asarray(prices, dtype=float)[:, np.newaxis])
 
 
 # ---------------------------------------------------------------------------
-# PriceSeries / ReturnMatrix validation
+# PricePanel / ReturnMatrix validation
 # ---------------------------------------------------------------------------
 
 def test_price_series_rejects_nonpositive_prices() -> None:
     with pytest.raises(DataError):
-        _series("X", [100.0, 0.0])
+        _single("X", [100.0, 0.0])
     with pytest.raises(DataError):
-        _series("X", [100.0, -1.0])
+        _single("X", [100.0, -1.0])
 
 
 def test_price_series_rejects_short_and_unsorted() -> None:
     with pytest.raises(DataError):
-        _series("X", [100.0])
+        _single("X", [100.0])
     with pytest.raises(DataError):
-        PriceSeries("X", (2, 1), np.array([1.0, 2.0]))
+        PricePanel((2, 1), ("X",), np.array([[1.0], [2.0]]))
     with pytest.raises(DataError):
-        PriceSeries("X", (1, 1), np.array([1.0, 2.0]))
+        PricePanel((1, 1), ("X",), np.array([[1.0], [2.0]]))
+
+
+@pytest.mark.parametrize("dates, ids, prices, message", [
+    ((0, 1), ("A",), [[1.0, 2.0], [1.0, 2.0]], "shape"),
+    ((0, 1), ("A", ""), [[1.0, 2.0], [1.0, 2.0]], "empty asset ids"),
+    ((0, 1), ("A", "B"), [[1.0, 2.0], [1.0, math.inf]], "'B'.*finite"),
+    ((0, 1, 2), ("A", "B"), [[1.0, 2.0], [1.0, NAN], [1.0, NAN]],
+     "'B'.*at least 2"),
+    ((0, date(2020, 1, 2)), ("A",), [[1.0], [2.0]], "mixed"),
+])
+def test_price_panel_validation(dates, ids, prices, message) -> None:
+    with pytest.raises(DataError, match=message):
+        PricePanel(dates, ids, np.array(prices))
 
 
 def test_return_matrix_validation() -> None:
@@ -59,22 +75,24 @@ def test_return_matrix_validation() -> None:
 
 def test_log_returns_single_asset_hand_value() -> None:
     # ln(110/100) evaluated independently: 0.09531017980432486
-    panel = log_returns([_series("X", [100.0, 110.0])])
+    panel = log_returns(_single("X", [100.0, 110.0]))
     assert panel.values.shape == (1, 1)
     assert panel.values[0, 0] == pytest.approx(0.09531017980432486, abs=1e-15)
 
 
 def test_log_returns_dates_carry_later_day_of_pair() -> None:
-    panel = log_returns([_series("X", [1.0, 2.0, 4.0])])
+    panel = log_returns(_single("X", [1.0, 2.0, 4.0]))
     assert panel.dates == (1, 2)
     np.testing.assert_allclose(panel.values[:, 0],
                                [math.log(2.0), math.log(2.0)])
 
 
 def test_log_returns_intersect_dates() -> None:
-    a = PriceSeries("A", (0, 1, 2, 3), np.array([1.0, 2.0, 3.0, 4.0]))
-    b = PriceSeries("B", (1, 2, 3, 4), np.array([10.0, 20.0, 30.0, 40.0]))
-    panel = log_returns([a, b], policy="intersect-dates")
+    # A is priced on dates 0..3, B on 1..4
+    prices = PricePanel(range(5), ("A", "B"),
+                        np.array([[1.0, NAN], [2.0, 10.0], [3.0, 20.0],
+                                  [4.0, 30.0], [NAN, 40.0]]))
+    panel = log_returns(prices, policy="intersect-dates")
     assert panel.dates == (2, 3)
     assert panel.asset_ids == ("A", "B")
     np.testing.assert_allclose(panel.values[0],
@@ -82,48 +100,54 @@ def test_log_returns_intersect_dates() -> None:
 
 
 def test_log_returns_too_few_common_dates() -> None:
-    a = PriceSeries("A", (0, 1), np.array([1.0, 2.0]))
-    b = PriceSeries("B", (1, 2), np.array([1.0, 2.0]))
+    prices = PricePanel(range(3), ("A", "B"),
+                        np.array([[1.0, NAN], [2.0, 1.0], [NAN, 2.0]]))
     with pytest.raises(DataError, match="common dates"):
-        log_returns([a, b], policy="intersect-dates")
+        log_returns(prices, policy="intersect-dates")
 
 
 def test_log_returns_error_on_gap_names_asset_and_date() -> None:
-    a = PriceSeries("A", (0, 1, 2), np.array([1.0, 2.0, 3.0]))
-    b = PriceSeries("B", (0, 2), np.array([1.0, 2.0]))
+    prices = PricePanel(range(3), ("A", "B"),
+                        np.array([[1.0, 1.0], [2.0, NAN], [3.0, 2.0]]))
     with pytest.raises(DataError, match="'B'.*gap at 1"):
-        log_returns([a, b], policy="error-on-gap")
+        log_returns(prices, policy="error-on-gap")
 
 
 def test_log_returns_duplicate_ids_rejected() -> None:
     with pytest.raises(DataError, match="duplicate"):
-        log_returns([_series("A", [1.0, 2.0]), _series("A", [1.0, 2.0])])
+        log_returns(PricePanel((0, 1), ("A", "A"), np.ones((2, 2))))
 
 
 def test_cumulated_returns_reconstruct_prices() -> None:
     rng = np.random.default_rng(7)
     prices = 100.0 * np.exp(np.cumsum(0.02 * rng.standard_normal((300, 3)),
                                       axis=0))
-    series = [_series(f"A{j}", prices[:, j]) for j in range(3)]
-    panel = log_returns(series)
-    for j, s in enumerate(series):
-        rebuilt = s.prices[0] * np.exp(np.cumsum(panel.values[:, j]))
-        np.testing.assert_allclose(rebuilt, s.prices[1:], rtol=1e-12)
+    panel = log_returns(PricePanel(range(300), ("A0", "A1", "A2"), prices))
+    for j in range(3):
+        rebuilt = prices[0, j] * np.exp(np.cumsum(panel.values[:, j]))
+        np.testing.assert_allclose(rebuilt, prices[1:, j], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # CSV round trips
 # ---------------------------------------------------------------------------
 
-def _random_series(count: int, length: int) -> list[PriceSeries]:
+def _random_panel(count: int, length: int) -> PricePanel:
     rng = np.random.default_rng(11)
     start = date(2010, 1, 4)
-    dates = tuple(start + timedelta(days=i) for i in range(length))
-    out = []
-    for j in range(count):
-        prices = 50.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(length)))
-        out.append(PriceSeries(f"A{j + 1}", dates, prices))
-    return out
+    dates = [start + timedelta(days=i) for i in range(length)]
+    prices = 50.0 * np.exp(np.cumsum(0.01 * rng.standard_normal((length,
+                                                                 count)),
+                                     axis=0))
+    return PricePanel(dates, [f"A{j + 1}" for j in range(count)], prices)
+
+
+def _assert_same_panel(a: PricePanel, b: PricePanel) -> None:
+    assert a.dates == b.dates
+    assert a.asset_ids == b.asset_ids
+    # bit for bit, NaN in the same places
+    assert a.prices.shape == b.prices.shape
+    assert a.prices.tobytes() == b.prices.tobytes()
 
 
 @pytest.mark.parametrize("layout", ["long", "wide"])
@@ -131,26 +155,114 @@ def test_write_read_write_is_byte_identical(tmp_path, layout) -> None:
     # the command line writes only the wide layout; the long one comes from
     # the test helper, so this checks that load_prices reads it exactly
     write = write_prices if layout == "wide" else write_long_prices
-    series = _random_series(3, 2500)
+    prices = _random_panel(3, 2500)
     first = tmp_path / "first.csv"
-    write(series, first)
+    write(prices, first)
     loaded = load_prices(first, layout=layout)
-    assert [s.asset_id for s in loaded] == [s.asset_id for s in series]
-    for a, b in zip(loaded, series):
-        assert a.dates == b.dates
-        np.testing.assert_array_equal(a.prices, b.prices)
+    _assert_same_panel(loaded, prices)
     second = tmp_path / "second.csv"
     write(loaded, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+@st.composite
+def _gappy_panels(draw) -> PricePanel:
+    """Small panels with NaN gaps, every asset priced at least twice and
+    every date priced for at least one asset (so the long layout, which has
+    no row for a missing price, still carries every date)."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 12))
+    steps = draw(st.lists(st.integers(1, 40), min_size=m, max_size=m))
+    first = draw(st.integers(-50, 50))
+    offsets = np.cumsum([first] + steps[1:]).tolist()
+    if draw(st.booleans()):
+        dates = [date(2001, 6, 1) + timedelta(days=k) for k in offsets]
+    else:
+        dates = offsets
+    # any ratio of two such prices is a finite float
+    positive = st.floats(min_value=1e-100, max_value=1e100)
+    prices = np.array(draw(st.lists(st.lists(positive, min_size=n, max_size=n),
+                                    min_size=m, max_size=m)))
+    gaps = np.array(draw(st.lists(st.lists(st.booleans(), min_size=n,
+                                           max_size=n),
+                                  min_size=m, max_size=m)))
+    for i in range(m):
+        if gaps[i].all():
+            gaps[i, i % n] = False
+    for j in range(n):
+        if (~gaps[:, j]).sum() < 2:
+            gaps[:2, j] = False
+    prices[gaps] = NAN
+    return PricePanel(dates, [f"A{j}" for j in range(n)], prices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gappy_panels())
+def test_price_panel_round_trips_through_both_layouts(tmp_path_factory,
+                                                      prices) -> None:
+    folder = tmp_path_factory.mktemp("prices")
+    wide, long = folder / "wide.csv", folder / "long.csv"
+    write_prices(prices, wide)
+    write_long_prices(prices, long)
+    _assert_same_panel(load_prices(wide, layout="wide"), prices)
+    _assert_same_panel(load_prices(long, layout="long"),
+                       load_prices(wide, layout="wide"))
+
+
+def _expected_returns(prices: PricePanel) -> tuple[tuple, np.ndarray]:
+    """Log ratios of consecutive fully priced rows, element by element."""
+    rows = [m for m in range(len(prices.dates))
+            if not np.isnan(prices.prices[m]).any()]
+    values = [[np.log(prices.prices[b, j] / prices.prices[a, j])
+               for j in range(len(prices.asset_ids))]
+              for a, b in zip(rows, rows[1:])]
+    return tuple(prices.dates[m] for m in rows[1:]), np.array(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gappy_panels())
+def test_log_returns_on_gappy_panels(prices) -> None:
+    dates, values = _expected_returns(prices)
+    gaps = np.isnan(prices.prices)
+    policies = ["intersect-dates"]
+    if gaps.any():
+        # the first asset, in column order, with a gap, at its first gap
+        j = int(np.flatnonzero(gaps.any(axis=0))[0])
+        label = prices.dates[int(np.flatnonzero(gaps[:, j])[0])]
+        text = label.isoformat() if isinstance(label, date) else str(label)
+        with pytest.raises(DataError, match=f"'{prices.asset_ids[j]}' has a "
+                                            f"date gap at {text}$"):
+            log_returns(prices, policy="error-on-gap")
+    else:
+        policies.append("error-on-gap")
+    for policy in policies:
+        if not dates:
+            with pytest.raises(DataError, match="common dates"):
+                log_returns(prices, policy=policy)
+            continue
+        panel = log_returns(prices, policy=policy)
+        assert panel.dates == dates
+        assert panel.asset_ids == prices.asset_ids
+        assert panel.values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("layout, text", MIXED_DATE_KINDS.items())
+def test_load_prices_rejects_mixed_date_kinds(tmp_path, layout, text) -> None:
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match="mixed calendar and integer dates"):
+        load_prices(path, layout=layout)
 
 
 def test_load_prices_wide_blank_cells_are_missing(tmp_path) -> None:
     path = tmp_path / "p.csv"
     path.write_text("date,A,B\n2020-01-01,1.0,2.0\n2020-01-02,1.5,\n"
                     "2020-01-03,2.0,2.5\n")
-    series = load_prices(path, layout="wide")
-    assert len(series[0].dates) == 3
-    assert len(series[1].dates) == 2
+    prices = load_prices(path, layout="wide")
+    assert len(prices.dates) == 3
+    np.testing.assert_array_equal(np.isnan(prices.prices),
+                                  [[False, False], [False, True],
+                                   [False, False]])
 
 
 def test_load_prices_errors_report_line_numbers(tmp_path) -> None:

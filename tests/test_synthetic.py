@@ -17,18 +17,18 @@ def _spec(**overrides) -> GbmSpec:
 
 
 def test_shapes_and_dates() -> None:
-    series, panel = simulate_gbm(_spec())
-    assert len(series) == 2
-    assert series[0].dates == tuple(range(500))
+    prices, panel = simulate_gbm(_spec())
+    assert prices.asset_ids == ("A1", "A2")
+    assert prices.dates == tuple(range(500))
     assert panel.values.shape == (499, 2)
     assert panel.dates == tuple(range(1, 500))
-    assert all(np.all(s.prices > 0.0) for s in series)
-    assert series[0].prices[0] == 100.0 and series[1].prices[0] == 50.0
+    assert np.all(prices.prices > 0.0)
+    assert prices.prices[0, 0] == 100.0 and prices.prices[0, 1] == 50.0
 
 
 def test_returns_equal_log_returns_of_prices_exactly() -> None:
-    series, panel = simulate_gbm(_spec())
-    recomputed = log_returns(series, policy="error-on-gap")
+    prices, panel = simulate_gbm(_spec())
+    recomputed = log_returns(prices, policy="error-on-gap")
     np.testing.assert_array_equal(panel.values, recomputed.values)
     assert panel.dates == recomputed.dates
 
@@ -37,9 +37,8 @@ def test_seed_determinism() -> None:
     a, _ = simulate_gbm(_spec())
     b, _ = simulate_gbm(_spec())
     c, _ = simulate_gbm(_spec(seed=43))
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x.prices, y.prices)
-    assert not np.array_equal(a[0].prices, c[0].prices)
+    np.testing.assert_array_equal(a.prices, b.prices)
+    assert not np.array_equal(a.prices[:, 0], c.prices[:, 0])
 
 
 def test_zero_volatility_gives_pure_drift() -> None:
