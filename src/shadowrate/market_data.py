@@ -36,11 +36,9 @@ class DataError(ValueError):
 
 def _parse_date_label(text: str, line_no: int) -> DateLabel:
     token = text.strip()
-    if "-" not in token[1:]:  # int() fails on a "-" past the sign
-        try:
-            return int(token)
-        except ValueError:
-            pass
+    digits = token[1:] if token.startswith("-") else token
+    if digits.isascii() and digits.isdigit():  # int() also takes "+5", "1_000"
+        return int(token)
     try:
         return _date.fromisoformat(token)
     except ValueError:

@@ -14,14 +14,14 @@ still produces values.
 
 Every window is recomputed from scratch (no incremental updates) and the
 date loop is strictly sequential, so a run is deterministic bit-for-bit and
-can be split at any date by carrying the clamp states across the split.
+can be split at any date by carrying the clamp levels across the split.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -32,9 +32,6 @@ from .market_data import DataError, DateLabel, ReturnMatrix, window, \
     _format_date_label, _format_float
 from .regularization import MODES, ClampState, regularize_singulars, clamp
 from .solver import SingularMatrixError, build_phi, solve_svd, svd_factors
-
-ROWS_HEADER = ("date,nu_raw,nu_eps,nu_hat,sigma_pi_raw,sigma_pi_hat,"
-               "kappa_raw,kappa_eps,d_min_raw,d_min_eps,residual_norm")
 
 Calibrator = Callable[[ReturnMatrix], CalibratedModel]
 
@@ -90,29 +87,29 @@ class SrrSeriesRow:
     residual_norm: float | None
 
 
+ROWS_HEADER = ",".join(f.name for f in fields(SrrSeriesRow))
+
+
 @dataclass(frozen=True)
 class RegularizerStates:
-    """Clamp histories carried across dates (and across split runs): the
+    """Clamp levels carried across dates (and across split runs): the
     singular spectrum's N levels, the rate's level, and the N-1 levels of
-    the deflator-volatility components."""
+    the deflator-volatility components. A zero level is unseeded. The bands
+    are not state: a run clamps with the bands of the config it is given."""
 
-    d_state: ClampState
-    nu_state: ClampState
-    sigma_state: ClampState
+    d_levels: np.ndarray
+    nu_level: float
+    sigma_levels: np.ndarray
 
 
 @dataclass(frozen=True)
 class SrrRun:
+    """One row and one raw singular spectrum per date, and the clamp levels
+    after the last date, which warm-start a run that continues this one."""
+
     rows: list[SrrSeriesRow]
     singular_values: list[tuple[DateLabel, np.ndarray]]
     states: RegularizerStates
-    config: PipelineConfig
-
-
-def _fresh_states(cfg: PipelineConfig) -> RegularizerStates:
-    return RegularizerStates(d_state=ClampState(epsilon=cfg.epsilon),
-                             nu_state=ClampState(epsilon=cfg.delta_nu),
-                             sigma_state=ClampState(epsilon=cfg.delta_sigma))
 
 
 def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
@@ -122,11 +119,12 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
                    calibrator: Calibrator | None = None) -> SrrRun:
     """Run the window loop over end indices ``start_index..end_index``.
 
-    Defaults cover every date with a full trailing window. Passing the
-    ``states`` returned by a previous run whose ``end_index`` immediately
-    precedes ``start_index`` continues that run bit-exactly. ``calibrator``
-    replaces the standard per-window calibration (used by tests to drive the
-    solver with exact or scripted parameters).
+    Defaults cover every date with a full trailing window. The ``states``
+    of a run whose ``end_index`` immediately precedes ``start_index`` seed
+    the clamps with that run's levels, which step within the bands of
+    ``cfg``; under the same ``cfg`` this continues the run bit-exactly.
+    ``calibrator`` replaces the standard per-window calibration (used by
+    tests to drive the solver with exact or scripted parameters).
     """
     total, n = r.values.shape
     if n < 2:
@@ -147,12 +145,14 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
         raise ValueError(f"start_index {first} after end_index {last}")
 
     mode = cfg.resolved_svd_mode()
-    st = _fresh_states(cfg) if states is None else states
-    for state, size in ((st.d_state, n), (st.sigma_state, n - 1)):
-        if state.previous is not None and np.shape(state.previous) != (size,):
-            raise ValueError("clamp states do not match the panel's asset "
-                             "count")
-    d_state, nu_state, sigma_state = st.d_state, st.nu_state, st.sigma_state
+    if states is None:
+        states = RegularizerStates(np.zeros(n), 0.0, np.zeros(n - 1))
+    if (np.shape(states.d_levels) != (n,)
+            or np.shape(states.sigma_levels) != (n - 1,)):
+        raise ValueError("clamp states do not match the panel's asset count")
+    d_state = ClampState(cfg.epsilon, states.d_levels)
+    nu_state = ClampState(cfg.delta_nu, states.nu_level)
+    sigma_state = ClampState(cfg.delta_sigma, states.sigma_levels)
     cal = calibrator if calibrator is not None else \
         (lambda w: calibrate(w, method=cfg.method))
 
@@ -202,8 +202,8 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
             residual_norm=residual_norm))
         spectra.append((r.dates[t], d.copy()))
 
-    final = RegularizerStates(d_state, nu_state, sigma_state)
-    return SrrRun(rows, spectra, final, cfg)
+    return SrrRun(rows, spectra, RegularizerStates(
+        d_state.previous, nu_state.previous, sigma_state.previous))
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +219,8 @@ def write_rows_csv(rows: list[SrrSeriesRow], path: Path | str) -> None:
         fh.write(ROWS_HEADER + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         for row in rows:
-            writer.writerow([
-                _format_date_label(row.date), _cell(row.nu_raw),
-                _cell(row.nu_eps), _cell(row.nu_hat),
-                _cell(row.sigma_pi_raw), _cell(row.sigma_pi_hat),
-                _cell(row.kappa_raw), _cell(row.kappa_eps),
-                _cell(row.d_min_raw), _cell(row.d_min_eps),
-                _cell(row.residual_norm)])
+            label, *values = vars(row).values()  # in ROWS_HEADER order
+            writer.writerow([_format_date_label(label), *map(_cell, values)])
 
 
 def write_singular_csv(spectra: list[tuple[DateLabel, np.ndarray]],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -279,6 +280,24 @@ def test_load_prices_errors_report_line_numbers(tmp_path) -> None:
     path.write_text("date,A\n2020-01-01,1.0\n2020-01-02,-3\n")
     with pytest.raises(DataError, match="line 3.*non-positive"):
         load_prices(path)
+
+
+@pytest.mark.parametrize("label", ["1_000", "٣", "+5"])
+def test_load_prices_rejects_non_ascii_integer_dates(tmp_path, label) -> None:
+    # int() accepts all three; a date label must be ASCII digits
+    path = tmp_path / "p.csv"
+    path.write_text(f"date,A\n7,1.0\n{label},2.0\n8,3.0\n", encoding="utf-8")
+    with pytest.raises(DataError,
+                       match=re.escape(f"line 3: unparseable date {label!r}")):
+        load_prices(path)
+
+
+def test_load_prices_accepts_signed_integer_and_iso_dates(tmp_path) -> None:
+    path = tmp_path / "p.csv"
+    path.write_text("date,A\n-3,1.0\n 42 ,2.0\n0,3.0\n")
+    assert load_prices(path).dates == (-3, 0, 42)
+    path.write_text("date,A\n2020-01-02,1.0\n2019-12-31,2.0\n")
+    assert load_prices(path).dates == (date(2019, 12, 31), date(2020, 1, 2))
 
 
 def test_load_prices_long_duplicate_pair(tmp_path) -> None:

@@ -3,18 +3,24 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shadowrate.calibration import CalibratedModel
+from shadowrate.calibration import METHODS, CalibratedModel
 from shadowrate.market_data import DataError, ReturnMatrix
-from shadowrate.pipeline import (ROWS_HEADER, PipelineConfig, run_srr_series,
-                                 write_rows_csv, write_singular_csv)
+from shadowrate.pipeline import (ROWS_HEADER, PipelineConfig, SrrRun,
+                                 run_srr_series, write_rows_csv,
+                                 write_singular_csv)
+from shadowrate.regularization import MODES
 from shadowrate.synthetic import GbmSpec, simulate_gbm
 
 from helpers import read_rows_csv
-from oracles import srr_two_asset
+from oracles import ScalarClampState, oracle_srr_series, srr_two_asset
 
 FIVE_ASSET_MU = np.array([4e-4, 6e-4, 5e-4, 3e-4, 7e-4])
 FIVE_ASSET_SIGMA = np.array([
@@ -186,6 +192,107 @@ def test_warm_start_split_is_bit_exact() -> None:
                                   whole.singular_values):
         assert da == db
         np.testing.assert_array_equal(va, vb)
+
+
+def _noisy_panel(rows: int, n: int, seed: int) -> ReturnMatrix:
+    rng = np.random.default_rng(seed)
+    return _panel(2e-4 + 0.01 * rng.standard_normal((rows, n)))
+
+
+def _bits(run) -> tuple[list, list]:
+    """Rows and spectra of a run, bit for bit (float.hex tells -0.0 from 0.0,
+    which == does not)."""
+    rows = [tuple(v.hex() if isinstance(v, float) else v
+                  for v in vars(row).values()) for row in run.rows]
+    return rows, [(label, d.tobytes()) for label, d in run.singular_values]
+
+
+def _level_bits(states) -> tuple:
+    return (states.d_levels.tobytes(), float(states.nu_level).hex(),
+            states.sigma_levels.tobytes())
+
+
+SPLIT_PANEL = _noisy_panel(rows=110, n=4, seed=7)
+SPLIT_WINDOW = 60
+
+
+@lru_cache(maxsize=None)
+def _whole_run(method: str, svd_mode: str) -> SrrRun:
+    cfg = PipelineConfig(window_m=SPLIT_WINDOW, method=method,
+                         svd_mode=svd_mode)
+    run = run_srr_series(SPLIT_PANEL, cfg)
+    # every clamp acts somewhere, so a lost level would show
+    assert any(row.nu_hat != row.nu_eps for row in run.rows)
+    assert any(row.d_min_eps != row.d_min_raw for row in run.rows)
+    assert any(row.sigma_pi_hat != row.sigma_pi_raw for row in run.rows)
+    return run
+
+
+@settings(max_examples=40, deadline=None)
+@given(method=st.sampled_from(METHODS), svd_mode=st.sampled_from(MODES),
+       ends=st.sets(st.integers(SPLIT_WINDOW - 1, len(SPLIT_PANEL.dates) - 2),
+                    min_size=1, max_size=3))
+def test_warm_start_at_any_split_points_is_bit_exact(method, svd_mode,
+                                                     ends) -> None:
+    cfg = PipelineConfig(window_m=SPLIT_WINDOW, method=method,
+                         svd_mode=svd_mode)
+    whole = _whole_run(method, svd_mode)
+    rows, spectra = [], []
+    start, states = SPLIT_WINDOW - 1, None
+    for end in sorted(ends) + [len(SPLIT_PANEL.dates) - 1]:
+        piece = run_srr_series(SPLIT_PANEL, cfg, start_index=start,
+                               end_index=end, states=states)
+        rows += piece.rows
+        spectra += piece.singular_values
+        start, states = end + 1, piece.states
+    joined = SrrRun(rows, spectra, states)
+    assert _bits(joined) == _bits(whole)
+    assert _level_bits(joined.states) == _level_bits(whole.states)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("band, value", [("epsilon", 1e-6), ("delta_nu", 0.5),
+                                         ("delta_sigma", 1e-7)])
+def test_warm_start_clamps_with_the_bands_of_its_own_config(method, band,
+                                                            value) -> None:
+    # The head's levels carry over; the tail's config sets the bands.
+    panel = _noisy_panel(rows=110, n=4, seed=8)
+    head_cfg = PipelineConfig(window_m=60, method=method)
+    tail_cfg = replace(head_cfg, **{band: value})
+    split = 80
+    head = run_srr_series(panel, head_cfg, end_index=split)
+    tail = run_srr_series(panel, tail_cfg, start_index=split + 1,
+                          states=head.states)
+
+    oracle_head = oracle_srr_series(panel, head_cfg, end_index=split)
+    d_states, nu_state, sigma_states = oracle_head.states
+    d_levels, sigma_levels = (
+        np.array([0.0 if s.previous is None else s.previous for s in group])
+        for group in (d_states, sigma_states))
+    nu_level = nu_state.previous
+    assert _level_bits(head.states) == (d_levels.tobytes(), nu_level.hex(),
+                                        sigma_levels.tobytes())
+    seeded = (tuple(ScalarClampState(tail_cfg.epsilon, v) for v in d_levels),
+              ScalarClampState(tail_cfg.delta_nu, nu_level),
+              tuple(ScalarClampState(tail_cfg.delta_sigma, v)
+                    for v in sigma_levels))
+    oracle_tail = oracle_srr_series(panel, tail_cfg, start_index=split + 1,
+                                    states=seeded)
+    assert _bits(tail) == _bits(oracle_tail)
+    # the band matters here: the head's config continues differently
+    same = run_srr_series(panel, head_cfg, start_index=split + 1,
+                          states=head.states)
+    assert same.rows != tail.rows
+
+
+def test_warm_start_rejects_levels_of_another_asset_count() -> None:
+    panel = _noisy_panel(rows=80, n=4, seed=9)
+    cfg = PipelineConfig(window_m=60)
+    head = run_srr_series(panel, cfg, end_index=70)
+    narrow = ReturnMatrix(panel.dates, panel.asset_ids[:3],
+                          panel.values[:, :3])
+    with pytest.raises(ValueError, match="asset count"):
+        run_srr_series(narrow, cfg, start_index=71, states=head.states)
 
 
 def test_rerun_is_deterministic() -> None:
