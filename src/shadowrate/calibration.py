@@ -21,7 +21,7 @@ import numpy as np
 from .market_data import DateLabel, ReturnMatrix
 # center_columns and pca are not called here but stay importable from this
 # module, where benchmark/spans.py wraps them by name.
-from .pca import _eigenpairs, center_columns, pca  # noqa: F401
+from .pca import center_columns, covariance, eigenpairs, pca  # noqa: F401
 
 METHODS = ("direct", "regression")
 
@@ -37,12 +37,34 @@ class CalibratedModel:
     window_end_date: DateLabel
 
 
+def window_moments(values: np.ndarray, end: int, count: int,
+                   m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column means (K, N) and sample covariances (K, N, N) of the K =
+    ``count`` trailing windows of ``m`` rows that end at rows ``end`` ..
+    ``end + count - 1`` of the C-ordered panel ``values``.
+
+    The means of all K windows come from one strided sum, which adds the
+    rows in the same order as ``window.mean(axis=0)``; each covariance is
+    formed from its own centred window.
+    """
+    row, col = values.strides
+    n = values.shape[1]
+    start = end - m + 1
+    stacked = np.ndarray((m, count, n), np.float64, values, start * row,
+                         (row, row, col))
+    means = stacked.sum(axis=0) / m
+    cov = np.empty((count, n, n))
+    for j in range(count):
+        cov[j] = covariance(values[start + j:end + j + 1] - means[j])
+    return means, cov
+
+
 def sigma_direct(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Loadings from the leading N-1 eigenpairs (eigenvalues ``lam``
     descending and non-negative, eigenvector columns ``w``): column k is
-    sqrt(lambda_k) w_k."""
-    n = lam.shape[0]
-    return w[:, :n - 1] * np.sqrt(lam[:n - 1])
+    sqrt(lambda_k) w_k. Stacks (K, N) and (K, N, N) give (K, N, N-1)."""
+    n = lam.shape[-1]
+    return w[..., :n - 1] * np.sqrt(lam[..., None, :n - 1])
 
 
 def sigma_regression(x0: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -68,6 +90,27 @@ def sigma_regression(x0: np.ndarray, w: np.ndarray) -> np.ndarray:
     return coef.T
 
 
+def calibrate_windows(values: np.ndarray, end: int, count: int, m: int,
+                      method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Drifts (K, N) and loadings (K, N, N-1) of the K = ``count`` windows
+    of ``m`` rows ending at rows ``end`` .. ``end + count - 1`` of the
+    C-ordered, finite panel ``values``: the window moments, one stacked
+    eigendecomposition, then the loadings of ``method``. The regression
+    route fits each window's scores in turn."""
+    means, cov = window_moments(values, end, count, m)
+    lam, w = eigenpairs(cov)
+    if method == "direct":
+        sigma = sigma_direct(lam, w)
+    else:
+        sigma = np.empty(w.shape[:2] + (w.shape[2] - 1,))
+        for j in range(count):
+            x0 = values[end + j - m + 1:end + j + 1] - means[j]
+            sigma[j] = sigma_regression(x0, w[j])
+    if not np.isfinite(sigma).all():
+        raise ValueError("calibration produced non-finite loadings")
+    return means, sigma
+
+
 def calibrate(r: ReturnMatrix, method: str = "direct") -> CalibratedModel:
     """Estimate (mu, sigma) from one window of log returns."""
     if method not in METHODS:
@@ -79,15 +122,7 @@ def calibrate(r: ReturnMatrix, method: str = "direct") -> CalibratedModel:
         raise ValueError(f"window of {m} rows is too short for {n} assets "
                          f"(need M > N)")
     # The panel passed its finiteness checks when it was built, so the
-    # window is centred once and diagonalized without re-validation; only
-    # the regression route forms the component scores.
-    means = r.values.mean(axis=0)
-    x0 = r.values - means
-    lam, w = _eigenpairs(x0)
-    if method == "direct":
-        sigma = sigma_direct(lam, w)
-    else:
-        sigma = sigma_regression(x0, w)
-    if not np.all(np.isfinite(sigma)):
-        raise ValueError("calibration produced non-finite loadings")
-    return CalibratedModel(means, sigma, method, r.dates[-1])
+    # window is used without re-validation.
+    means, sigma = calibrate_windows(np.ascontiguousarray(r.values), m - 1, 1,
+                                     m, method)
+    return CalibratedModel(means[0], sigma[0], method, r.dates[-1])

@@ -40,24 +40,34 @@ def center_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x - means, means
 
 
-def _eigenpairs(x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending, clipped at zero) and sign-normalized
-    eigenvectors of ``x0' x0 / (M - 1)``; ``x0`` is trusted to be a
-    centered, finite 2-d panel with ``M >= 2``."""
-    cov = (x0.T @ x0) / (x0.shape[0] - 1)
-    lam, w = np.linalg.eigh(cov)
-    lam = lam[::-1].copy()
-    w = w[:, ::-1].copy()
+def covariance(x0: np.ndarray) -> np.ndarray:
+    """Sample covariance ``x0' x0 / (M - 1)`` of a centered M x N panel."""
+    return (x0.T @ x0) / (x0.shape[0] - 1)
 
-    floor = -1e-12 * max(1.0, float(lam[0]) if lam.size else 1.0)
-    if lam.size and float(lam[-1]) < floor:
-        raise ValueError(f"covariance eigenvalue {lam[-1]:g} is negative beyond "
-                         f"the clip tolerance")
-    np.clip(lam, 0.0, None, out=lam)
+
+def eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending, clipped at zero) and sign-normalized
+    eigenvector columns of a stack of covariance matrices ``cov`` (K, N, N),
+    from one stacked ``eigh``; returns arrays (K, N) and (K, N, N).
+
+    Raises for the first matrix whose smallest eigenvalue is negative beyond
+    the clip tolerance.
+    """
+    lam, w = np.linalg.eigh(cov)
+    lam = lam[:, ::-1].copy()
+    w = w[:, :, ::-1].copy()
+
+    if (lam[:, -1] < 0.0).any():
+        low = lam[:, -1] < -1e-12 * np.maximum(1.0, lam[:, 0])
+        if low.any():
+            raise ValueError(f"covariance eigenvalue {lam[low, -1][0]:g} is "
+                             f"negative beyond the clip tolerance")
+    lam.clip(0.0, None, out=lam)
 
     # argmax takes the lowest index on ties
-    peak = w[np.argmax(np.abs(w), axis=0), np.arange(w.shape[1])]
-    w *= np.where(peak < 0.0, -1.0, 1.0)
+    k, n = lam.shape
+    peak = w[np.arange(k)[:, None], np.argmax(np.abs(w), axis=1), np.arange(n)]
+    w *= np.where(peak < 0.0, -1.0, 1.0)[:, None, :]
     return lam, w
 
 
@@ -81,7 +91,8 @@ def pca(x0: np.ndarray, column_means: np.ndarray | None = None) -> PcaResult:
     if max_mean > 1e-8 * scale:
         raise ValueError(f"panel is not column-centered (max |mean| = {max_mean:g})")
 
-    lam, w = _eigenpairs(x0)
+    lam, w = eigenpairs(covariance(x0)[None])
+    lam, w = lam[0], w[0]
     components = x0 @ w
     if column_means is None:
         column_means = np.zeros(n)

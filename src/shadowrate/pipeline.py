@@ -1,20 +1,26 @@
 """Moving-window estimation of the implied riskless-rate series.
 
-For each window end date t the engine: slices the trailing M-row window,
-calibrates (mu_t, sigma_t), assembles phi_t, factorizes it once, solves the
-raw system, clamps the singular spectrum against its history and re-solves
-with the clamped spectrum, then applies secondary clamp smoothing to the
-solved rate and to each deflator-volatility component before taking the
-component norm.
+For each window end date t the engine calibrates (mu_t, sigma_t) on the
+trailing M-row window, solves phi_t x = mu_t with phi_t = [1 | -sigma_t]
+through its SVD, re-solves with the singular spectrum clamped against its
+history, and clamps the solved rate and deflator-volatility components
+against theirs. The dates run in chunks, each through three stages:
 
-Dates where phi_t is numerically singular emit a row whose raw fields are
-not-available markers instead of aborting the run; the regularized path,
-whose smallest singular value is floored by the clamp history, normally
-still produces values.
+1. window moments: all the chunk's window means from one strided sum, and
+   each window's covariance;
+2. stacked factor and solve: one ``eigh`` (sign convention and clip
+   included), the loadings and phi, one stacked SVD and the raw solves;
+3. clamp recursion, the only stage that steps date by date: the spectrum
+   levels, one batched re-solve, then the levels of ``[nu, sigma_pi...]``.
 
-Every window is recomputed from scratch (no incremental updates) and the
-date loop is strictly sequential, so a run is deterministic bit-for-bit and
-can be split at any date by carrying the clamp levels across the split.
+A direct-route chunk holds the dates whose N x N arrays fit
+``CHUNK_BYTES``; the regression route, which fits its loadings on each
+window's scores, and a ``calibrator=`` hook run one date per chunk. Singular
+dates are masked, not raised: their raw fields are not-available markers,
+and the regularized path normally still produces values. Each stacked call
+gives the same bits as its one-date form, so the rows do not depend on
+where the chunks fall, and a run can be split at any date by carrying the
+clamp levels across the split.
 """
 
 from __future__ import annotations
@@ -27,13 +33,24 @@ from typing import Callable
 
 import numpy as np
 
-from .calibration import METHODS, CalibratedModel, calibrate
+# calibrate, clamp, regularize_singulars and solve_svd are the one-date forms
+# of the stages below; they stay importable here, where benchmark/spans.py
+# wraps them by name.
+from .calibration import (METHODS, CalibratedModel, calibrate,  # noqa: F401
+                          calibrate_windows)
 from .market_data import DataError, DateLabel, ReturnMatrix, window, \
     _format_date_label, _format_float
-from .regularization import MODES, ClampState, regularize_singulars, clamp
-from .solver import SingularMatrixError, build_phi, solve_svd, svd_factors
+from .regularization import (MODES, band_step, clamp,  # noqa: F401
+                             regularize_singulars)
+from .solver import (assemble_phi, build_phi, norms, project,  # noqa: F401
+                     residual_norms, singular, solve_svd, svd_factors,
+                     svd_solve)
 
 Calibrator = Callable[[ReturnMatrix], CalibratedModel]
+
+# Working set of one direct-route chunk: 64 N^2 bytes (eight N x N float64
+# arrays) per date.
+CHUNK_BYTES = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -117,7 +134,8 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
                    end_index: int | None = None,
                    states: RegularizerStates | None = None,
                    calibrator: Calibrator | None = None) -> SrrRun:
-    """Run the window loop over end indices ``start_index..end_index``.
+    """Estimate the rate series at window end indices
+    ``start_index..end_index``, in chunks of dates (see the module notes).
 
     Defaults cover every date with a full trailing window. The ``states``
     of a run whose ``end_index`` immediately precedes ``start_index`` seed
@@ -144,66 +162,141 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
     if first > last:
         raise ValueError(f"start_index {first} after end_index {last}")
 
-    mode = cfg.resolved_svd_mode()
-    if states is None:
-        states = RegularizerStates(np.zeros(n), 0.0, np.zeros(n - 1))
-    if (np.shape(states.d_levels) != (n,)
-            or np.shape(states.sigma_levels) != (n - 1,)):
-        raise ValueError("clamp states do not match the panel's asset count")
-    d_state = ClampState(cfg.epsilon, states.d_levels)
-    nu_state = ClampState(cfg.delta_nu, states.nu_level)
-    sigma_state = ClampState(cfg.delta_sigma, states.sigma_levels)
-    cal = calibrator if calibrator is not None else \
-        (lambda w: calibrate(w, method=cfg.method))
+    d_levels, x_levels = _carried_levels(states, n)
+    # min-only clamps the smallest singular value alone
+    clamped = slice(None) if cfg.resolved_svd_mode() == "all" \
+        else slice(-1, None)
+    d_band = (1.0 - cfg.epsilon, 1.0 + cfg.epsilon)
+    x_bands = np.array([cfg.delta_nu] + [cfg.delta_sigma] * (n - 1))
+    x_band = (1.0 - x_bands, 1.0 + x_bands)
+    per_chunk = 1 if calibrator is not None or cfg.method == "regression" \
+        else max(1, CHUNK_BYTES // (64 * n * n))
+    values = np.ascontiguousarray(r.values)
 
     rows: list[SrrSeriesRow] = []
     spectra: list[tuple[DateLabel, np.ndarray]] = []
-    for t in range(first, last + 1):
-        w = window(r, t, cfg.window_m)
-        model = cal(w)
-        system = build_phi(model.sigma, model.mu)
-        factors = svd_factors(system.phi)
-        d = factors.d
-        d_min_raw = float(d[-1])
-        kappa_raw = math.inf if d_min_raw == 0.0 else float(d[0]) / d_min_raw
-
-        try:
-            raw = solve_svd(system, factors=factors)
-            nu_raw: float | None = raw.nu
-            sigma_pi_raw: float | None = raw.sigma_pi_total
-        except SingularMatrixError:
-            nu_raw = sigma_pi_raw = None
-
-        regularized, d_state = regularize_singulars(d, d_state, mode)
-        d_bar = regularized.d_bar
-        d_min_eps = float(np.min(d_bar))
-        d_max_eps = float(np.max(d_bar))
-        kappa_eps = math.inf if d_min_eps == 0.0 else d_max_eps / d_min_eps
-
-        try:
-            eps_sol = solve_svd(system, d_override=d_bar, factors=factors)
-        except SingularMatrixError:
-            eps_sol = None
-
-        if eps_sol is None:
-            nu_eps = nu_hat = sigma_pi_hat = residual_norm = None
-        else:
-            nu_eps = eps_sol.nu
-            residual_norm = eps_sol.residual_norm
-            nu_hat, nu_state = clamp(nu_state, nu_eps)
-            hat_components, sigma_state = clamp(sigma_state, eps_sol.sigma_pi)
-            sigma_pi_hat = float(np.linalg.norm(hat_components))
-
-        rows.append(SrrSeriesRow(
-            date=r.dates[t], nu_raw=nu_raw, nu_eps=nu_eps, nu_hat=nu_hat,
-            sigma_pi_raw=sigma_pi_raw, sigma_pi_hat=sigma_pi_hat,
-            kappa_raw=kappa_raw, kappa_eps=kappa_eps,
-            d_min_raw=d_min_raw, d_min_eps=d_min_eps,
-            residual_norm=residual_norm))
-        spectra.append((r.dates[t], d.copy()))
+    for end in range(first, last + 1, per_chunk):
+        count = min(per_chunk, last + 1 - end)
+        mu, phi = chunk_systems(r, values, end, count, cfg, calibrator)
+        d, v, u_mu, raw_ok, x_raw = factor_and_solve(phi, mu)
+        d_bar = d.copy()
+        d_bar[:, clamped], d_levels[clamped] = clamp_levels(
+            d[:, clamped], d_levels[clamped], d_band, range(count))
+        eps_ok, x_eps, residual = resolve(phi, mu, u_mu, d_bar, v)
+        hat, x_levels = clamp_levels(x_eps, x_levels, x_band,
+                                     np.flatnonzero(eps_ok).tolist())
+        dates = r.dates[end:end + count]
+        rows += _rows(dates, d, d_bar, raw_ok, x_raw, eps_ok, x_eps, hat,
+                      residual)
+        # one array per date, so a one-date chunk's spectrum holds no base
+        spectra += zip(dates, [spectrum.copy() for spectrum in d])
 
     return SrrRun(rows, spectra, RegularizerStates(
-        d_state.previous, nu_state.previous, sigma_state.previous))
+        d_levels, float(x_levels[0]), x_levels[1:]))
+
+
+def _carried_levels(states: RegularizerStates | None,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh copies of the N spectrum levels and the N levels of
+    ``[nu, sigma_pi...]``, checked once per call."""
+    if states is None:
+        return np.zeros(n), np.zeros(n)
+    if (np.shape(states.d_levels) != (n,)
+            or np.shape(states.sigma_levels) != (n - 1,)):
+        raise ValueError("clamp states do not match the panel's asset count")
+    d_levels = np.array(states.d_levels, dtype=np.float64)
+    x_levels = np.empty(n)
+    x_levels[0] = states.nu_level
+    x_levels[1:] = states.sigma_levels
+    if not (np.isfinite(d_levels).all() and np.isfinite(x_levels).all()):
+        for level in (states.d_levels, states.nu_level, states.sigma_levels):
+            if not np.isfinite(level).all():
+                raise ValueError(f"previous level must be finite, "
+                                 f"got {level!r}")
+    return d_levels, x_levels
+
+
+# ---------------------------------------------------------------------------
+# Engine stages, each over the K dates of one chunk
+# ---------------------------------------------------------------------------
+
+def chunk_systems(r: ReturnMatrix, values: np.ndarray, end: int, count: int,
+                  cfg: PipelineConfig, calibrator: Calibrator | None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Stages 1 and 2a: drifts (K, N) and phi (K, N, N) of the windows
+    ending at rows ``end .. end + count - 1`` (``values`` is ``r.values``
+    in C order). A ``calibrator`` is handed one window view per call."""
+    if calibrator is None:
+        mu, sigma = calibrate_windows(values, end, count, cfg.window_m,
+                                      cfg.method)
+        return mu, assemble_phi(sigma)
+    model = calibrator(window(r, end, cfg.window_m))
+    system = build_phi(model.sigma, model.mu)
+    return system.mu[None], system.phi[None]
+
+
+def factor_and_solve(phi: np.ndarray, mu: np.ndarray):
+    """Stage 2b: one stacked SVD and the raw solves. Returns the spectra d
+    (K, N), the right singular vectors v, the projections u' mu, the mask of
+    non-singular dates and the raw solutions (K, N)."""
+    f = svd_factors(phi)
+    u_mu = project(f.u, mu)
+    return (f.d, f.v, u_mu) + _masked_solve(u_mu, f.d, f.v)
+
+
+def resolve(phi: np.ndarray, mu: np.ndarray, u_mu: np.ndarray,
+            d_bar: np.ndarray, v: np.ndarray):
+    """Stage 3b: the batched re-solve with the clamped spectra; returns the
+    mask of non-singular dates, the solutions and their residuals against
+    the unclamped phi."""
+    ok, x = _masked_solve(u_mu, d_bar, v)
+    return ok, x, residual_norms(phi, x, mu)
+
+
+def _masked_solve(u_mu: np.ndarray, d: np.ndarray,
+                  v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of non-singular spectra and the solutions; a singular date
+    is solved with unit values for its spectrum, so its row stays finite
+    (and is never read)."""
+    ok = ~singular(d)
+    return ok, svd_solve(u_mu, np.where(ok[:, None], d, 1.0), v)
+
+
+def clamp_levels(raw: np.ndarray, levels: np.ndarray, band: tuple,
+                 dates) -> tuple[np.ndarray, np.ndarray]:
+    """Stages 3a and 3c: step ``levels`` through the rows ``dates`` of
+    ``raw`` in order, each row clamped to the band ``(down, up)`` around
+    the levels before it. Returns ``raw`` with those rows clamped and the
+    final levels."""
+    out = raw.copy()
+    for j in dates:
+        levels = band_step(levels, raw[j], *band)
+        out[j] = levels
+    return out, levels
+
+
+def _rows(dates, d, d_bar, raw_ok, x_raw, eps_ok, x_eps, hat,
+          residual) -> list[SrrSeriesRow]:
+    rows = []
+    for (date, rok, eok, nu_raw, nu_eps, nu_hat, sigma_raw, sigma_hat, d_1,
+         d_n, bar_max, bar_min, res) in zip(
+            dates, raw_ok.tolist(), eps_ok.tolist(), x_raw[:, 0].tolist(),
+            x_eps[:, 0].tolist(), hat[:, 0].tolist(),
+            norms(x_raw[:, 1:]).tolist(), norms(hat[:, 1:]).tolist(),
+            d[:, 0].tolist(), d[:, -1].tolist(), d_bar.max(axis=1).tolist(),
+            d_bar.min(axis=1).tolist(), residual.tolist()):
+        rows.append(SrrSeriesRow(
+            date=date,
+            nu_raw=nu_raw if rok else None,
+            nu_eps=nu_eps if eok else None,
+            nu_hat=nu_hat if eok else None,
+            sigma_pi_raw=sigma_raw if rok else None,
+            sigma_pi_hat=sigma_hat if eok else None,
+            kappa_raw=math.inf if d_n == 0.0 else d_1 / d_n,
+            kappa_eps=math.inf if bar_min == 0.0 else bar_max / bar_min,
+            d_min_raw=d_n, d_min_eps=bar_min,
+            residual_norm=res if eok else None))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -77,12 +77,22 @@ def clamp(state: ClampState, raw) -> tuple[float | np.ndarray, ClampState]:
         raise ValueError(f"{np.shape(previous)} previous levels for raw "
                          f"values of shape {raw.shape}")
     else:
-        lo = previous * (1.0 - state.epsilon)
-        hi = previous * (1.0 + state.epsilon)
-        clamped = np.where(previous == 0.0, raw,
-                           np.minimum(np.maximum(raw, np.minimum(lo, hi)),
-                                      np.maximum(lo, hi)))
+        clamped = band_step(previous, raw, 1.0 - state.epsilon,
+                            1.0 + state.epsilon)
     return clamped, ClampState(state.epsilon, clamped)
+
+
+def band_step(previous: np.ndarray, raw: np.ndarray, down, up) -> np.ndarray:
+    """One step of independent levels: each raw value clipped to the band
+    between ``previous * down`` and ``previous * up`` (``down = 1 - epsilon``
+    and ``up = 1 + epsilon``, per level or shared); a zero level passes its
+    raw value through. The same IEEE operations as the scalar path of
+    ``clamp``, entry by entry."""
+    lo = previous * down
+    hi = previous * up
+    return np.where(previous == 0.0, raw,
+                    np.minimum(np.maximum(raw, np.minimum(lo, hi)),
+                               np.maximum(lo, hi)))
 
 
 @dataclass(frozen=True)

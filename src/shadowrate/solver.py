@@ -35,7 +35,8 @@ class PhiSystem:
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """phi = u @ diag(d) @ v.T with d non-increasing and >= 0."""
+    """phi = u @ diag(d) @ v.T with d non-increasing and >= 0 (each a stack
+    along the leading axis when phi is)."""
 
     u: np.ndarray
     d: np.ndarray
@@ -66,15 +67,52 @@ def build_phi(sigma: np.ndarray, mu: np.ndarray) -> PhiSystem:
         raise ValueError(f"mu shape {mu.shape} does not match {n} assets")
     if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(mu))):
         raise ValueError("non-finite calibration inputs")
-    phi = np.empty((n, n))
-    phi[:, 0] = 1.0
-    phi[:, 1:] = -sigma
-    return PhiSystem(phi, mu.copy())
+    return PhiSystem(assemble_phi(sigma), mu.copy())
+
+
+def assemble_phi(sigma: np.ndarray) -> np.ndarray:
+    """``[1 | -sigma]`` for loadings (N, N-1), or for a stack (K, N, N-1)."""
+    phi = np.empty(sigma.shape[:-1] + (sigma.shape[-2],))
+    phi[..., 0] = 1.0
+    phi[..., 1:] = -sigma
+    return phi
 
 
 def svd_factors(phi: np.ndarray) -> SvdFactors:
+    """The SVD of one matrix (N, N), or of a stack (K, N, N) in one call."""
     u, d, vh = np.linalg.svd(np.asarray(phi, dtype=np.float64))
-    return SvdFactors(u, d, vh.T)
+    return SvdFactors(u, d, np.swapaxes(vh, -1, -2))
+
+
+def singular(d: np.ndarray) -> np.ndarray:
+    """Whether each spectrum (the last axis of ``d``) is numerically
+    singular: its smallest value at or below ``PIVOT_FLOOR`` times its
+    largest. A smallest value that is not positive always is, since
+    ``PIVOT_FLOOR * d_max`` is non-negative or above ``d_max``."""
+    return d.min(axis=-1) <= PIVOT_FLOOR * d.max(axis=-1)
+
+
+def project(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``u' mu`` for one system (N, N), (N,) or a stack (K, N, N), (K, N)."""
+    return (np.swapaxes(u, -1, -2) @ mu[..., None])[..., 0]
+
+
+def svd_solve(u_mu: np.ndarray, d: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``x = v diag(1/d) u' mu`` from the projection ``u_mu = u' mu``, for
+    one system or a stack of them; ``d`` must have no zero entry."""
+    return (v @ (u_mu / d)[..., None])[..., 0]
+
+
+def norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of ``x`` along its last axis (the same bits as
+    ``np.linalg.norm`` of each vector)."""
+    return np.sqrt(np.vecdot(x, x))
+
+
+def residual_norms(phi: np.ndarray, x: np.ndarray,
+                   mu: np.ndarray) -> np.ndarray:
+    """``|phi x - mu|`` for one system or a stack of them."""
+    return norms((phi @ x[..., None])[..., 0] - mu)
 
 
 def solve_svd(system: PhiSystem, d_override: np.ndarray | None = None,
@@ -99,13 +137,13 @@ def solve_svd(system: PhiSystem, d_override: np.ndarray | None = None,
             raise ValueError("override spectrum contains non-finite values")
     d_max = float(np.max(d_eff)) if d_eff.size else 0.0
     d_min = float(np.min(d_eff)) if d_eff.size else 0.0
-    if d_min <= PIVOT_FLOOR * d_max or d_min <= 0.0:
+    if not d_eff.size or singular(d_eff):
         raise SingularMatrixError(
             f"singular system: smallest effective singular value {d_min:g} "
             f"at or below floor {PIVOT_FLOOR * d_max:g}")
-    x = f.v @ ((f.u.T @ mu) / d_eff)
+    x = svd_solve(project(f.u, mu), d_eff, f.v)
     sigma_pi = x[1:].copy()
     return DeflatorSolution(nu=float(x[0]), sigma_pi=sigma_pi,
-                            sigma_pi_total=float(np.linalg.norm(sigma_pi)),
-                            residual_norm=float(np.linalg.norm(phi @ x - mu)),
+                            sigma_pi_total=float(norms(sigma_pi)),
+                            residual_norm=float(residual_norms(phi, x, mu)),
                             kappa=d_max / d_min)
