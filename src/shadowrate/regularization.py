@@ -51,34 +51,23 @@ def clamp(state: ClampState, raw) -> tuple[float | np.ndarray, ClampState]:
     """One recursion step; returns (clamped value, advanced state).
 
     ``raw`` is one level, or an array shaped like ``state.previous`` whose
-    entries are clamped independently in one call: the array form applies
-    the same IEEE operations as the scalar form, entry by entry.
+    entries are clamped independently in one ``band_step``; a scalar
+    ``raw`` gives a float.
     """
-    previous = state.previous
-    if np.ndim(raw) == 0 and not isinstance(previous, np.ndarray):
-        raw = float(raw)
-        if not math.isfinite(raw):
-            raise ValueError(f"raw value must be finite, got {raw!r}")
-        if previous is None or previous == 0.0:
-            return raw, ClampState(state.epsilon, raw)
-        lo = previous * (1.0 - state.epsilon)
-        hi = previous * (1.0 + state.epsilon)
-        if lo > hi:  # negative previous level flips the edges
-            lo, hi = hi, lo
-        clamped = min(max(raw, lo), hi)
-        return clamped, ClampState(state.epsilon, clamped)
-
-    raw = np.asarray(raw, dtype=np.float64)
-    if not np.isfinite(raw).all():
+    values = np.asarray(raw, dtype=np.float64)
+    if not np.isfinite(values).all():
         raise ValueError(f"raw values must be finite, got {raw!r}")
+    previous = state.previous
     if previous is None:
-        clamped = raw.copy()
-    elif np.shape(previous) != raw.shape:
+        clamped = values.copy()
+    elif np.shape(previous) != values.shape:
         raise ValueError(f"{np.shape(previous)} previous levels for raw "
-                         f"values of shape {raw.shape}")
+                         f"values of shape {values.shape}")
     else:
-        clamped = band_step(previous, raw, 1.0 - state.epsilon,
+        clamped = band_step(previous, values, 1.0 - state.epsilon,
                             1.0 + state.epsilon)
+    if clamped.ndim == 0:
+        clamped = float(clamped)
     return clamped, ClampState(state.epsilon, clamped)
 
 
@@ -86,8 +75,7 @@ def band_step(previous: np.ndarray, raw: np.ndarray, down, up) -> np.ndarray:
     """One step of independent levels: each raw value clipped to the band
     between ``previous * down`` and ``previous * up`` (``down = 1 - epsilon``
     and ``up = 1 + epsilon``, per level or shared); a zero level passes its
-    raw value through. The same IEEE operations as the scalar path of
-    ``clamp``, entry by entry."""
+    raw value through."""
     lo = previous * down
     hi = previous * up
     return np.where(previous == 0.0, raw,
@@ -95,42 +83,35 @@ def band_step(previous: np.ndarray, raw: np.ndarray, down, up) -> np.ndarray:
                                np.maximum(lo, hi)))
 
 
-@dataclass(frozen=True)
-class RegularizedSvd:
-    """Clamped singular spectrum."""
-
-    d_bar: np.ndarray
-
-
-def regularize_singulars(
-    d: np.ndarray,
-    state: ClampState,
-    mode: str = "min-only",
-) -> tuple[RegularizedSvd, ClampState]:
-    """Clamp a singular spectrum against its per-index history.
-
-    ``state.previous`` holds one level per index (None before the first
-    date). ``min-only`` clamps just the smallest (last) singular value,
-    leaving the rest and their levels untouched; ``all`` clamps every index
-    independently.
-    """
+def spectrum_indices(mode: str) -> slice:
+    """The singular-value indices that ``mode`` clamps: ``min-only`` the
+    smallest (last) alone, ``all`` every one."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    return slice(None) if mode == "all" else slice(-1, None)
+
+
+def regularize_singulars(d: np.ndarray, state: ClampState,
+                         mode: str = "min-only"
+                         ) -> tuple[np.ndarray, ClampState]:
+    """Clamp a singular spectrum against its per-index history; returns
+    (clamped spectrum, advanced state).
+
+    ``state.previous`` holds one level per index (None before the first
+    date). The indices outside ``spectrum_indices(mode)`` and their levels
+    are left untouched.
+    """
+    clamped = spectrum_indices(mode)
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1 or d.size == 0:
         raise ValueError(f"expected a non-empty 1-d spectrum, got shape {d.shape}")
-    previous = state.previous
-    if previous is not None and np.shape(previous) != d.shape:
-        raise ValueError(f"clamp states of shape {np.shape(previous)} for a "
+    levels = np.zeros(d.size) if state.previous is None \
+        else np.array(state.previous, dtype=np.float64)
+    if levels.shape != d.shape:
+        raise ValueError(f"clamp states of shape {levels.shape} for a "
                          f"spectrum of {d.size} values")
-    if mode == "all":
-        d_bar, state = clamp(state, d)
-        return RegularizedSvd(d_bar), state
-    last, _ = clamp(ClampState(state.epsilon,
-                               None if previous is None else float(previous[-1])),
-                    d[-1])
+    levels[clamped] = band_step(levels[clamped], d[clamped],
+                                1.0 - state.epsilon, 1.0 + state.epsilon)
     d_bar = d.copy()
-    d_bar[-1] = last
-    levels = np.zeros(d.size) if previous is None else previous.copy()
-    levels[-1] = last
-    return RegularizedSvd(d_bar), ClampState(state.epsilon, levels)
+    d_bar[clamped] = levels[clamped]
+    return d_bar, ClampState(state.epsilon, levels)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from shadowrate.calibration import (CalibratedModel, calibrate, sigma_direct,
+from shadowrate.calibration import (CalibratedModel, calibrate,
+                                    calibrate_windows, sigma_direct,
                                     sigma_regression)
 from shadowrate.market_data import ReturnMatrix
 from shadowrate.pca import PcaResult, center_columns, pca
@@ -114,3 +115,16 @@ def test_calibrated_model_shape_for_n_assets() -> None:
     assert model.mu.shape == (5,)
     assert model.sigma.shape == (5, 4)
     assert model.window_end_date == panel.dates[-1]
+
+
+def test_regression_windows_equal_one_window_calls() -> None:
+    # the engine hands the regression route one window at a time; several
+    # windows in one call still give the same bits as one call each
+    rng = np.random.default_rng(8)
+    values = 0.01 * rng.standard_normal((80, 4))
+    end, m = 45, 30
+    means, sigma = calibrate_windows(values, end, 7, m, "regression")
+    for j in range(7):
+        mu_j, sigma_j = calibrate_windows(values, end + j, 1, m, "regression")
+        assert means[j].tobytes() == mu_j[0].tobytes()
+        assert sigma[j].tobytes() == sigma_j[0].tobytes()

@@ -117,6 +117,53 @@ def test_srr_end_to_end_with_manifest(tmp_path, capsys) -> None:
     assert manifest["input"]["digest"] == _sha256(prices)
 
 
+def _manifest(path) -> dict:
+    """A manifest's contents, checked to be written in its canonical form."""
+    text = path.read_text(encoding="utf-8")
+    manifest = json.loads(text)
+    assert text == json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    return manifest
+
+
+def test_srr_manifest_pins_every_key(tmp_path, capsys) -> None:
+    prices = _simulate(tmp_path, n=3, steps=50, seed=9)
+    out = tmp_path / "rates.csv"
+    assert main(["srr", "--prices", str(prices), "--window", "25",
+                 "--method", "regression", "--delta-nu", "2e-5",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _manifest(tmp_path / "rates.manifest.json") == {
+        "tool": "shadowrate",
+        "version": shadowrate.__version__,
+        "command": "srr",
+        "config": {"window_m": 25, "method": "regression", "epsilon": 0.005,
+                   "delta_nu": 2e-5, "delta_sigma": 1e-3, "svd_mode": "all",
+                   "layout": "wide", "align": "intersect-dates"},
+        "input": {"path": str(prices), "algorithm": "sha256",
+                  "digest": _sha256(prices)},
+    }
+
+
+def test_simulate_manifest_pins_every_key(tmp_path, capsys) -> None:
+    out = _simulate(tmp_path, "sim.csv", n=3, steps=10, seed=5,
+                    extra=("--mu", "1e-4,2e-4,3e-4",
+                           "--sigma", "0.01,0.0;0.0,0.01;0.005,0.005",
+                           "--s0", "50,60,70"))
+    capsys.readouterr()
+    assert _manifest(tmp_path / "sim.manifest.json") == {
+        "tool": "shadowrate",
+        "version": shadowrate.__version__,
+        "command": "simulate",
+        "config": {"n": 3, "steps": 10, "mu": [1e-4, 2e-4, 3e-4],
+                   "sigma": [[0.01, 0.0], [0.0, 0.01], [0.005, 0.005]],
+                   "s0": [50.0, 60.0, 70.0], "base_date": "2000-01-03"},
+        "seed": 5,
+        "generator": "philox",
+        "output": {"path": str(out), "algorithm": "sha256",
+                   "digest": _sha256(out)},
+    }
+
+
 def test_srr_regression_resolves_svd_mode_all(tmp_path, capsys) -> None:
     prices = _simulate(tmp_path, n=3, steps=40, seed=21)
     out = tmp_path / "reg.csv"

@@ -429,3 +429,27 @@ def test_load_universe(tmp_path) -> None:
     path.write_text("asset_id,market_cap\nAAA,-1\n")
     with pytest.raises(DataError, match="line 2"):
         load_universe(path)
+
+
+def test_byte_order_mark_is_ignored(tmp_path) -> None:
+    # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark
+    panel = _random_panel(3, 20)
+    plain = {name: tmp_path / f"{name}.csv"
+             for name in ("wide", "long", "universe", "returns")}
+    write_prices(panel, plain["wide"])
+    write_long_prices(panel, plain["long"])
+    plain["universe"].write_text("asset_id,market_cap\nAAA,5e9\nBBB,1e9\n")
+    write_return_panel(log_returns(panel), plain["returns"])
+    marked = {}
+    for name, path in plain.items():
+        marked[name] = tmp_path / f"bom-{name}.csv"
+        marked[name].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+    for layout in ("wide", "long"):
+        _assert_same_panel(load_prices(marked[layout], layout=layout),
+                           load_prices(plain[layout], layout=layout))
+    assert load_universe(marked["universe"]) == load_universe(plain["universe"])
+    bom, ref = (read_return_panel(marked["returns"]),
+                read_return_panel(plain["returns"]))
+    assert (bom.dates, bom.asset_ids) == (ref.dates, ref.asset_ids)
+    assert bom.values.tobytes() == ref.values.tobytes()

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from shadowrate.regularization import ClampState, clamp, regularize_singulars
 
-from oracles import ScalarClampState, scalar_clamp
+from oracles import (ScalarClampState, scalar_clamp,
+                     scalar_regularize_singulars)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -84,11 +85,11 @@ def test_clamp_properties(prev, raw, eps) -> None:
 def test_regularize_min_only_touches_only_smallest() -> None:
     d = np.array([5.0, 1.0, 0.01])
     state = ClampState(epsilon=0.005, previous=np.array([0.0, 0.0, 0.02]))
-    result, new_state = regularize_singulars(d, state, mode="min-only")
-    np.testing.assert_array_equal(result.d_bar[:2], d[:2])
-    assert result.d_bar[2] == 0.02 * (1.0 - 0.005)  # floored at 0.0199
+    d_bar, new_state = regularize_singulars(d, state, mode="min-only")
+    np.testing.assert_array_equal(d_bar[:2], d[:2])
+    assert d_bar[2] == 0.02 * (1.0 - 0.005)  # floored at 0.0199
     np.testing.assert_array_equal(new_state.previous[:2], [0.0, 0.0])
-    assert new_state.previous[2] == result.d_bar[2]
+    assert new_state.previous[2] == d_bar[2]
     # a fresh state seeds only the smallest index
     _, seeded = regularize_singulars(d, ClampState(epsilon=0.005))
     np.testing.assert_array_equal(seeded.previous, [0.0, 0.0, 0.01])
@@ -97,11 +98,11 @@ def test_regularize_min_only_touches_only_smallest() -> None:
 def test_regularize_all_clamps_every_index() -> None:
     d = np.array([5.0, 1.0, 0.01])
     state = ClampState(epsilon=0.005, previous=np.array([4.0, 1.0, 0.02]))
-    result, new_state = regularize_singulars(d, state, mode="all")
-    assert result.d_bar[0] == 4.0 * 1.005
-    assert result.d_bar[1] == 1.0
-    assert result.d_bar[2] == 0.02 * 0.995
-    np.testing.assert_array_equal(new_state.previous, result.d_bar)
+    d_bar, new_state = regularize_singulars(d, state, mode="all")
+    assert d_bar[0] == 4.0 * 1.005
+    assert d_bar[1] == 1.0
+    assert d_bar[2] == 0.02 * 0.995
+    np.testing.assert_array_equal(new_state.previous, d_bar)
 
 
 def test_regularize_validation() -> None:
@@ -112,18 +113,62 @@ def test_regularize_validation() -> None:
         regularize_singulars(np.array([1.0]), state, mode="other")
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(prev=st.lists(finite, min_size=1, max_size=6), data=st.data(),
-       eps=st.floats(min_value=1e-6, max_value=0.5))
-def test_array_clamp_equals_scalar_clamps(prev, data, eps) -> None:
-    # one array step is, bit for bit, the reference scalar step of each entry
+       eps=st.floats(min_value=1e-6, max_value=0.5), fresh=st.booleans(),
+       shape=st.sampled_from(["array", "float", "0-d"]))
+def test_array_clamp_equals_scalar_clamps(prev, data, eps, fresh,
+                                          shape) -> None:
+    # one step of an array, or of each entry as a Python float or a 0-d
+    # array, is bit for bit the reference scalar step of each entry
     raw = data.draw(st.lists(finite, min_size=len(prev), max_size=len(prev)))
-    values, state = clamp(ClampState(eps, np.array(prev)), np.array(raw))
+    if shape == "array":
+        values, state = clamp(ClampState(eps, None if fresh else np.array(prev)),
+                              np.array(raw))
+        np.testing.assert_array_equal(state.previous, values)
+    else:
+        wrap = float if shape == "float" else np.array
+        values = []
+        for p, r in zip(prev, raw):
+            value, state = clamp(ClampState(eps, None if fresh else wrap(p)),
+                                 wrap(r))
+            assert type(value) is float and state.previous is value
+            values.append(value)
     for k, (p, r) in enumerate(zip(prev, raw)):
-        expected, _ = scalar_clamp(ScalarClampState(eps, p), r)
+        expected, _ = scalar_clamp(ScalarClampState(eps, None if fresh else p),
+                                   r)
         assert values[k] == expected
         assert np.signbit(values[k]) == np.signbit(expected)
-    np.testing.assert_array_equal(state.previous, values)
+
+
+def _levels(states) -> np.ndarray:
+    return np.array([0.0 if s.previous is None else s.previous
+                     for s in states])
+
+
+@settings(max_examples=200)
+@given(n=st.integers(min_value=1, max_value=5), data=st.data(),
+       eps=st.floats(min_value=1e-6, max_value=0.5), seeded=st.booleans(),
+       mode=st.sampled_from(["min-only", "all"]))
+def test_regularize_singulars_steps_equal_scalar_reference(n, data, eps,
+                                                           seeded,
+                                                           mode) -> None:
+    # a run of spectra, from a fresh or a seeded state, clamps bit for bit
+    # as the reference scalar clamp of each clamped index
+    row = st.lists(finite, min_size=n, max_size=n)
+    spectra = data.draw(st.lists(row, min_size=1, max_size=8))
+    reference = tuple(ScalarClampState(eps) for _ in range(n))
+    state = ClampState(eps)
+    if seeded:
+        levels = data.draw(row)
+        reference = tuple(ScalarClampState(eps, v) for v in levels)
+        state = ClampState(eps, np.array(levels))
+    for spectrum in spectra:
+        d = np.array(spectrum)
+        d_bar, state = regularize_singulars(d, state, mode)
+        expected, reference = scalar_regularize_singulars(d, reference, mode)
+        assert d_bar.tobytes() == expected.tobytes()
+        assert state.previous.tobytes() == _levels(reference).tobytes()
 
 
 def test_secondary_regularize_worked_example() -> None:
