@@ -10,7 +10,12 @@ min-rate  : composite-asset minimum-rate search over a return panel
 
 File-writing commands also write a JSON run manifest (config echo, SHA-256
 of the input file, tool version, and the seed for simulations) next to the
-output, so a run can be reproduced byte-for-byte.
+output, so a run can be reproduced byte-for-byte; ``srr``'s also records the
+Python, numpy and BLAS versions, the BLAS threads and the engine's workers.
+
+Every command runs with the BLAS at one thread (restored on return): the
+engine's N x N LAPACK calls are too small to gain from BLAS threads, and at
+one thread the engine spreads its chunks over the CPUs instead.
 
 Exit codes: 0 success, 1 ingestion errors, 2 pipeline/numerical errors.
 """
@@ -21,13 +26,14 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import platform
 import sys
 from datetime import date as _date, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from .analysis import compare_full_universe, min_rate, quantiles
 from .market_data import (DataError, load_prices, load_universe, log_returns,
                           read_return_panel, select_assets, write_prices,
@@ -107,6 +113,9 @@ def _cmd_srr(args: argparse.Namespace) -> int:
                    "svd_mode": cfg.resolved_svd_mode(),
                    "layout": args.layout, "align": args.align},
         "input": _file_digest(prices_path),
+        "runtime": {"python": platform.python_version(),
+                    "numpy": np.__version__, "blas": blas.describe(),
+                    "engine_workers": run.workers},
     })
     print(f"wrote {len(run.rows)} rows to {out_path} "
           f"(+ {singular_path.name}, {manifest_path.name})")
@@ -285,7 +294,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # The engine's LAPACK calls are too small for BLAS threads; at one
+        # BLAS thread the engine runs its chunks on a thread pool instead.
+        with blas.one_thread():
+            return args.handler(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,24 +17,37 @@ A direct-route chunk holds the dates whose N x N arrays fit
 ``CHUNK_BYTES``. A ``calibrator=`` hook, handed one window per call, runs
 one date per chunk. So does the regression route, which would keep its bits
 in full chunks: it stays at one date because the benchmark's peak-RSS
-reading rises with the rounds a faster run fits (ROADMAP item 7). Singular
-dates are masked, not raised: their raw fields are not-available markers,
-and the regularized path normally still produces values. Each stacked call
-gives the same bits as its one-date form, so the rows do not depend on
-where the chunks fall, and a run can be split at any date by carrying the
-clamp levels across the split.
+reading rises with the rounds a faster run fits (ROADMAP items 3 and 4).
+
+Stages 1 and 2 of one chunk need nothing from another, so successive chunks
+run them on a thread pool, one worker per usable CPU, with at most two
+chunks per worker in flight; the calling thread takes the results in date
+order and runs stage 3. The same loop runs serially, on the calling thread,
+when chunks hold one date (so a ``calibrator`` is only ever called there),
+when there are fewer than two chunks, and unless the BLAS under numpy
+reports exactly one thread: on top of a multi-thread BLAS the pool made the
+engine slower. The command line sets one BLAS thread; a library caller gets
+the pool by doing the same (``shadowrate.blas``).
+
+Singular dates are masked, not raised: their raw fields are not-available
+markers, and the regularized path normally still produces values. Each
+stacked call gives the same bits as its one-date form, in any thread, so the
+rows do not depend on where the chunks fall or which thread ran them, and a
+run can be split at any date by carrying the clamp levels across the split.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
+from . import blas
 # calibrate, clamp, regularize_singulars and solve_svd are the one-date forms
 # of the stages below; they stay importable here, where benchmark/spans.py
 # wraps them by name.
@@ -123,12 +136,14 @@ class RegularizerStates:
 
 @dataclass(frozen=True)
 class SrrRun:
-    """One row and one raw singular spectrum per date, and the clamp levels
-    after the last date, which warm-start a run that continues this one."""
+    """One row and one raw singular spectrum per date, the clamp levels
+    after the last date, which warm-start a run that continues this one, and
+    the threads that ran the run's stages 1 and 2b."""
 
     rows: list[SrrSeriesRow]
     singular_values: list[tuple[DateLabel, np.ndarray]]
     states: RegularizerStates
+    workers: int = 1
 
 
 def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
@@ -171,28 +186,72 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
     x_band = (1.0 - x_bands, 1.0 + x_bands)
     per_chunk = 1 if calibrator is not None or cfg.method == "regression" \
         else max(1, CHUNK_BYTES // (64 * n * n))
+    ends = range(first, last + 1, per_chunk)
     values = np.ascontiguousarray(r.values)
 
-    rows: list[SrrSeriesRow] = []
-    spectra: list[tuple[DateLabel, np.ndarray]] = []
-    for end in range(first, last + 1, per_chunk):
+    def systems(end: int):
         count = min(per_chunk, last + 1 - end)
         mu, phi = chunk_systems(r, values, end, count, cfg, calibrator)
-        d, v, u_mu, raw_ok, x_raw = factor_and_solve(phi, mu)
-        d_bar = d.copy()
-        d_bar[:, clamped], d_levels[clamped] = clamp_levels(
-            d[:, clamped], d_levels[clamped], d_band, range(count))
-        eps_ok, x_eps, residual = resolve(phi, mu, u_mu, d_bar, v)
-        hat, x_levels = clamp_levels(x_eps, x_levels, x_band,
-                                     np.flatnonzero(eps_ok).tolist())
-        dates = r.dates[end:end + count]
-        rows += _rows(dates, d, d_bar, raw_ok, x_raw, eps_ok, x_eps, hat,
-                      residual)
-        # one array per date, so a one-date chunk's spectrum holds no base
-        spectra += zip(dates, [spectrum.copy() for spectrum in d])
+        return (end, count, mu, phi) + factor_and_solve(phi, mu)
+
+    workers = _engine_workers(per_chunk, len(ends))
+    pool = None
+    if workers > 1:
+        # imported here, so a serial run, such as every one-date update,
+        # does not pay for the import
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(workers, thread_name_prefix="shadowrate")
+    rows: list[SrrSeriesRow] = []
+    spectra: list[tuple[DateLabel, np.ndarray]] = []
+    try:
+        chunks = map(systems, ends) if pool is None \
+            else _in_date_order(pool, systems, ends, 2 * workers)
+        for end, count, mu, phi, d, v, u_mu, raw_ok, x_raw in chunks:
+            d_bar = d.copy()
+            d_bar[:, clamped], d_levels[clamped] = clamp_levels(
+                d[:, clamped], d_levels[clamped], d_band, range(count))
+            eps_ok, x_eps, residual = resolve(phi, mu, u_mu, d_bar, v)
+            hat, x_levels = clamp_levels(x_eps, x_levels, x_band,
+                                         np.flatnonzero(eps_ok).tolist())
+            dates = r.dates[end:end + count]
+            rows += _rows(dates, d, d_bar, raw_ok, x_raw, eps_ok, x_eps, hat,
+                          residual)
+            # one array per date, so a one-date chunk's spectrum holds no base
+            spectra += zip(dates, [spectrum.copy() for spectrum in d])
+    finally:
+        if pool is not None:
+            # after an error, the queued chunks never start
+            pool.shutdown(cancel_futures=True)
 
     return SrrRun(rows, spectra, RegularizerStates(
-        d_levels, float(x_levels[0]), x_levels[1:]))
+        d_levels, float(x_levels[0]), x_levels[1:]), workers)
+
+
+def _engine_workers(per_chunk: int, chunks: int) -> int:
+    """Threads that run stages 1 and 2b: one per usable CPU, up to one per
+    chunk, when chunks hold more than one date and the BLAS runs one
+    thread; otherwise 1, the serial engine. One-date chunks keep user
+    calibrators on the calling thread, and threads on top of a multi-thread
+    BLAS made the engine slower."""
+    if per_chunk < 2 or chunks < 2 or blas.threads() != 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), chunks)
+    return min(os.cpu_count() or 1, chunks)
+
+
+def _in_date_order(pool, stage: Callable, items, in_flight: int) -> Iterator:
+    """``map(stage, items)`` on ``pool``, with at most ``in_flight`` items
+    submitted and not yet taken; the results come in the order of
+    ``items``, and a stage's exception is raised where its result is
+    taken."""
+    pending: deque = deque()
+    for item in items:
+        pending.append(pool.submit(stage, item))
+        if len(pending) == in_flight:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def _carried_levels(states: RegularizerStates | None,
@@ -303,27 +362,50 @@ def _rows(dates, d, d_bar, raw_ok, x_raw, eps_ok, x_eps, hat,
 # CSV output
 # ---------------------------------------------------------------------------
 
+# Rows the writers format at a time: whole columns per block, with the
+# writers' memory bounded by the block, not the run.
+ROWS_PER_BLOCK = 512
+
+
 def _cell(value: float | None) -> str:
     return "" if value is None else _format_float(value)
 
 
-def write_rows_csv(rows: list[SrrSeriesRow], path: Path | str) -> None:
+def _write_columns(path: Path | str, header: str, count: int,
+                   columns: Callable[[int, int], list[list[str]]]) -> None:
+    """The header, then one line per row; ``columns(a, b)`` gives the cell
+    columns of rows ``a .. b - 1``, formatted ``ROWS_PER_BLOCK`` rows at a
+    time to bound the memory. No cell needs quoting."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(ROWS_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in rows:
-            label, *values = vars(row).values()  # in ROWS_HEADER order
-            writer.writerow([_format_date_label(label), *map(_cell, values)])
+        fh.write(header + "\n")
+        for a in range(0, count, ROWS_PER_BLOCK):
+            fh.write("".join([",".join(cells) + "\n" for cells in
+                              zip(*columns(a, a + ROWS_PER_BLOCK))]))
+
+
+def write_rows_csv(rows: list[SrrSeriesRow], path: Path | str) -> None:
+    names = [f.name for f in fields(SrrSeriesRow)][1:]
+
+    def columns(a: int, b: int) -> list[list[str]]:
+        block = rows[a:b]
+        return [[_format_date_label(row.date) for row in block],
+                *([_cell(getattr(row, name)) for row in block]
+                  for name in names)]
+
+    _write_columns(path, ROWS_HEADER, len(rows), columns)
 
 
 def write_singular_csv(spectra: list[tuple[DateLabel, np.ndarray]],
                        path: Path | str) -> None:
     if not spectra:
         raise ValueError("no singular-value rows to write")
-    n = len(spectra[0][1])
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date"] + [f"d_{i + 1}" for i in range(n)])
-        for label, d in spectra:
-            writer.writerow([_format_date_label(label)]
-                            + [_format_float(v) for v in d])
+    d = np.array([spectrum for _, spectrum in spectra], dtype=np.float64)
+
+    def columns(a: int, b: int) -> list[list[str]]:
+        return [[_format_date_label(label) for label, _ in spectra[a:b]],
+                *(list(map(_format_float, column))
+                  for column in d[a:b].T.tolist())]
+
+    _write_columns(
+        path, ",".join(["date"] + [f"d_{i + 1}" for i in range(d.shape[1])]),
+        len(spectra), columns)

@@ -5,19 +5,25 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import shadowrate
+from shadowrate import blas, cli
 from shadowrate.cli import main
 from shadowrate.market_data import UniverseEntry, select_assets
 from shadowrate.pipeline import ROWS_HEADER
 
 from helpers import MIXED_DATE_KINDS, read_rows_csv
+
+
+BLAS_BUILD = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
 
 
 def _sha256(path) -> str:
@@ -141,7 +147,75 @@ def test_srr_manifest_pins_every_key(tmp_path, capsys) -> None:
                    "layout": "wide", "align": "intersect-dates"},
         "input": {"path": str(prices), "algorithm": "sha256",
                   "digest": _sha256(prices)},
+        "runtime": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": {"name": BLAS_BUILD.get("name"),
+                     "version": BLAS_BUILD.get("version"),
+                     # the command runs at one BLAS thread, if it can set it
+                     "threads": None if blas.threads() is None else 1},
+            # the regression route runs one date per chunk, serially
+            "engine_workers": 1,
+        },
     }
+
+
+@pytest.fixture
+def blas_at_two():
+    before = blas.threads()
+    if before is None:
+        pytest.skip("the BLAS under numpy has no thread count to set")
+    blas.set_threads(2)
+    yield
+    blas.set_threads(before)
+
+
+def test_main_runs_one_blas_thread_and_restores_the_callers(
+        tmp_path, capsys, monkeypatch, blas_at_two) -> None:
+    prices = _simulate(tmp_path, n=3, steps=50, seed=9)
+    assert blas.threads() == 2
+    seen = []
+    engine = cli.run_srr_series
+
+    def recorded(*args, **kwargs):
+        seen.append(blas.threads())
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_srr_series", recorded)
+    out = tmp_path / "rates.csv"
+    assert main(["srr", "--prices", str(prices), "--window", "25",
+                 "--out", str(out)]) == 0
+    assert seen == [1]
+    assert blas.threads() == 2
+    assert main(["srr", "--prices", str(tmp_path / "missing.csv"),
+                 "--out", str(out)]) == 1
+    assert blas.threads() == 2
+    capsys.readouterr()
+
+
+def test_srr_bytes_do_not_depend_on_blas_threads(tmp_path, capsys) -> None:
+    # 12 assets: chunks of 56 dates, so the 171 dates run on the pool
+    prices = _simulate(tmp_path, n=12, steps=201, seed=13)
+    capsys.readouterr()
+    src = str(Path(shadowrate.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"rates-{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "shadowrate", "srr", "--prices",
+             str(prices), "--window", "30", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runtime = _manifest(out.with_suffix(".manifest.json"))["runtime"]
+        outputs.append((out.read_bytes(),
+                        out.with_suffix(".singular-values.csv").read_bytes(),
+                        runtime["blas"]["threads"], runtime["engine_workers"]))
+    assert outputs[0] == outputs[1]
+    if outputs[0][2] == 1:
+        assert outputs[0][3] == min(len(os.sched_getaffinity(0)), 4)
 
 
 def test_simulate_manifest_pins_every_key(tmp_path, capsys) -> None:

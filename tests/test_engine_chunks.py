@@ -1,11 +1,16 @@
 """The chunked engine against the per-window reference loop in ``oracles``:
 rows and spectra agree bit for bit however the dates fall into chunks, on
 degenerate panels too, and the stacked helpers give the bits of the plain
-arithmetic of one system."""
+arithmetic of one system. The pooled engine gives the serial engine's bits,
+raises a worker's error in date order and keeps a ``calibrator`` on the
+calling thread."""
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+import time
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -13,8 +18,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from shadowrate import pipeline
-from shadowrate.calibration import METHODS, sigma_direct
+from shadowrate import blas, pipeline
+from shadowrate.calibration import METHODS, calibrate, sigma_direct
 from shadowrate.market_data import ReturnMatrix
 from shadowrate.pipeline import (PipelineConfig, RegularizerStates,
                                  run_srr_series)
@@ -48,20 +53,27 @@ def _engine(*args, **kwargs):
         return run_srr_series(*args, **kwargs)
 
 
-def _dates_per_chunk(monkeypatch, n: int, dates: int | None) -> list[int]:
+def _dates_per_chunk(monkeypatch, n: int,
+                     dates: int | None) -> list[tuple[int, int]]:
     """Set the chunk budget to ``dates`` dates at ``n`` assets (None keeps
-    the module's budget) and record the size of every chunk run."""
+    the module's budget) and record the first row and the date count of
+    every chunk run, in the order the chunks ran, which a pool permutes."""
     if dates is not None:
         monkeypatch.setattr(pipeline, "CHUNK_BYTES", dates * 64 * n * n)
-    sizes: list[int] = []
-    stage = pipeline.factor_and_solve
+    chunks: list[tuple[int, int]] = []
+    stage = pipeline.chunk_systems
 
-    def counted(phi, mu):
-        sizes.append(len(phi))
-        return stage(phi, mu)
+    def counted(r, values, end, count, cfg, calibrator):
+        chunks.append((end, count))
+        return stage(r, values, end, count, cfg, calibrator)
 
-    monkeypatch.setattr(pipeline, "factor_and_solve", counted)
-    return sizes
+    monkeypatch.setattr(pipeline, "chunk_systems", counted)
+    return chunks
+
+
+def _sizes(chunks: list[tuple[int, int]]) -> list[int]:
+    """The chunk sizes in date order."""
+    return [count for _, count in sorted(chunks)]
 
 
 # Singular start: the 4th asset repeats the 1st for 100 rows, so the windows
@@ -78,10 +90,10 @@ START_CFG = PipelineConfig(window_m=60, epsilon=0.2)
 @pytest.mark.parametrize("dates", [1, 2, 7])
 def test_chunk_boundaries_match_reference(monkeypatch, method, dates) -> None:
     cfg = replace(START_CFG, method=method)
-    sizes = _dates_per_chunk(monkeypatch, 4, dates)
+    chunks = _dates_per_chunk(monkeypatch, 4, dates)
     run = _engine(START_PANEL, cfg)
     per_chunk = 1 if method == "regression" else dates
-    assert sizes == [per_chunk] * (141 // per_chunk) + \
+    assert _sizes(chunks) == [per_chunk] * (141 // per_chunk) + \
         ([141 % per_chunk] if 141 % per_chunk else [])
     # the singular start covers several chunks; blank and clamped rates
     # both follow it
@@ -111,13 +123,166 @@ def test_warm_start_inside_a_chunk_matches_reference(monkeypatch, method,
     assert _bits(joined) == _bits(oracle_srr_series(START_PANEL, cfg))
 
 
+def _threads(monkeypatch, cpus: int, blas_threads: int | None = 1) -> None:
+    """Make the engine see ``cpus`` usable CPUs and a BLAS that reports
+    ``blas_threads`` threads (None: a BLAS whose count is unknown)."""
+    monkeypatch.setattr(blas, "threads", lambda: blas_threads)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+
+
+def _state_bits(states: RegularizerStates) -> tuple:
+    return (states.d_levels.tobytes(), states.nu_level.hex(),
+            states.sigma_levels.tobytes())
+
+
+@pytest.mark.parametrize("blas_threads, cpus", [(None, 3), (2, 3), (1, 1),
+                                                (1, 2), (1, 3)])
+@pytest.mark.parametrize("dates", [1, 2, 7])
+def test_pooled_engine_matches_serial(monkeypatch, blas_threads, cpus,
+                                      dates) -> None:
+    chunks = _dates_per_chunk(monkeypatch, 4, dates)
+    _threads(monkeypatch, 3, blas_threads=None)
+    serial = _engine(START_PANEL, START_CFG)
+    assert serial.workers == 1
+    _threads(monkeypatch, cpus, blas_threads)
+    chunks.clear()
+    pooled = _engine(START_PANEL, START_CFG)
+    count = -(-141 // dates)
+    assert len(chunks) == count
+    # only a one-thread BLAS and chunks of several dates get the pool
+    assert pooled.workers == (min(cpus, count) if blas_threads == 1
+                              and dates > 1 else 1)
+    assert _bits(pooled) == _bits(serial)
+    assert _state_bits(pooled.states) == _state_bits(serial.states)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("dates", [2, 7])
+def test_pooled_warm_starts_match_serial(monkeypatch, cpus, dates) -> None:
+    # row 69 ends no chunk of the whole run, so the head stops inside one
+    _dates_per_chunk(monkeypatch, 4, dates)
+    _threads(monkeypatch, cpus, blas_threads=None)
+    whole = _engine(START_PANEL, START_CFG)
+    _threads(monkeypatch, cpus)
+    head = _engine(START_PANEL, START_CFG, end_index=69)
+    middle = _engine(START_PANEL, START_CFG, start_index=70, end_index=70,
+                     states=head.states)
+    tail = _engine(START_PANEL, START_CFG, start_index=71,
+                   states=middle.states)
+    assert (head.workers, middle.workers, tail.workers) == \
+        (min(cpus, -(-11 // dates)), 1, cpus)
+    joined = SimpleNamespace(
+        rows=head.rows + middle.rows + tail.rows,
+        singular_values=(head.singular_values + middle.singular_values
+                         + tail.singular_values))
+    assert _bits(joined) == _bits(whole)
+    assert _state_bits(tail.states) == _state_bits(whole.states)
+
+
+def _failing_chunks(monkeypatch, fail) -> list[int]:
+    """Chunks of 2 dates, starting at rows 59, 61, ...; ``fail(end)`` runs
+    before each chunk's stages. Returns the first rows of the chunks
+    started."""
+    _dates_per_chunk(monkeypatch, 4, 2)
+    stage = pipeline.chunk_systems
+    started: list[int] = []
+
+    def failing(r, values, end, count, cfg, calibrator):
+        started.append(end)
+        fail(end)
+        return stage(r, values, end, count, cfg, calibrator)
+
+    monkeypatch.setattr(pipeline, "chunk_systems", failing)
+    return started
+
+
+def _no_worker_left() -> bool:
+    return not [t for t in threading.enumerate()
+                if t.name.startswith("shadowrate")]
+
+
+@pytest.mark.parametrize("blas_threads", [None, 1])
+def test_worker_error_surfaces_in_date_order(monkeypatch,
+                                             blas_threads) -> None:
+    # The chunks at rows 65 and 69 fail; on the pool the later one fails
+    # first, yet the error of the first in date order is raised, as in a
+    # serial run.
+    _threads(monkeypatch, 2, blas_threads)
+    later_failed = threading.Event()
+
+    def fail(end):
+        if end == 65:
+            if threading.current_thread() is not threading.main_thread():
+                assert later_failed.wait(timeout=10)
+            raise ValueError("no window ending at row 65")
+        if end == 69:
+            later_failed.set()
+            raise ValueError("no window ending at row 69")
+
+    started = _failing_chunks(monkeypatch, fail)
+    with pytest.raises(ValueError, match="^no window ending at row 65$"):
+        _engine(START_PANEL, START_CFG)
+    assert 69 in started if blas_threads == 1 else max(started) == 65
+    assert _no_worker_left()
+
+
+def test_queued_chunks_are_cancelled_after_an_error(monkeypatch) -> None:
+    # The chunk at row 65 fails while both workers hold a later chunk, so
+    # the chunk at row 71, the last one queued, is cancelled, not started.
+    _threads(monkeypatch, 2)
+
+    def fail(end):
+        if end == 65:
+            raise ValueError("no window ending at row 65")
+        if end > 65:
+            time.sleep(0.5)
+
+    started = _failing_chunks(monkeypatch, fail)
+    with pytest.raises(ValueError, match="^no window ending at row 65$"):
+        _engine(START_PANEL, START_CFG)
+    assert 71 not in started and max(started) <= 69
+    assert _no_worker_left()
+
+
+def test_pool_keeps_two_chunks_per_worker_in_flight(monkeypatch) -> None:
+    _threads(monkeypatch, 2)
+    chunks = _dates_per_chunk(monkeypatch, 4, 2)
+    stage = pipeline._rows
+    ahead: list[int] = []
+
+    def slow_rows(*args):
+        # chunks started and not yet taken, this one included
+        ahead.append(len(chunks) - len(ahead))
+        time.sleep(0.001)  # let the workers run ahead if they may
+        return stage(*args)
+
+    monkeypatch.setattr(pipeline, "_rows", slow_rows)
+    run = _engine(START_PANEL, START_CFG)
+    assert run.workers == 2 and len(ahead) == 71
+    assert max(ahead) <= 4
+
+
+def test_calibrator_runs_on_the_calling_thread(monkeypatch) -> None:
+    _threads(monkeypatch, 2)
+    threads: set[str] = set()
+
+    def calibrator(window):
+        threads.add(threading.current_thread().name)
+        return calibrate(window)
+
+    run = _engine(START_PANEL, START_CFG, calibrator=calibrator)
+    assert run.workers == 1
+    assert threads == {threading.current_thread().name}
+
+
 def test_module_chunk_budget_crosses_a_boundary(monkeypatch) -> None:
     # 641 dates at N=4: more than one chunk of the module's own budget
     panel = _panel(_noisy(700, 4, seed=42))
     cfg = PipelineConfig(window_m=60)
-    sizes = _dates_per_chunk(monkeypatch, 4, None)
+    chunks = _dates_per_chunk(monkeypatch, 4, None)
     run = _engine(panel, cfg)
-    assert len(sizes) > 1 and sum(sizes) == 641
+    assert len(chunks) > 1 and sum(_sizes(chunks)) == 641
     assert _bits(run) == _bits(oracle_srr_series(panel, cfg))
 
 

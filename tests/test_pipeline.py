@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowrate import pipeline
 from shadowrate.calibration import METHODS, CalibratedModel
 from shadowrate.market_data import DataError, ReturnMatrix
 from shadowrate.pipeline import (ROWS_HEADER, PipelineConfig, SrrRun,
@@ -303,7 +306,8 @@ def test_rerun_is_deterministic() -> None:
     assert a.rows == b.rows
 
 
-def test_csv_round_trip_with_markers(tmp_path) -> None:
+def _scripted_singular_run() -> SrrRun:
+    """Seven dates of a two-asset run whose date 6 is singular."""
     healthy_sigma = np.array([[0.1], [0.3]])
     singular_sigma = np.array([[0.2], [0.2]])
     mu = np.array([0.01, 0.02])
@@ -314,8 +318,12 @@ def test_csv_round_trip_with_markers(tmp_path) -> None:
                                window_end_date=w.dates[-1])
 
     panel = _panel(np.full((10, 2), 0.01))
-    run = run_srr_series(panel, PipelineConfig(window_m=4),
-                         calibrator=scripted)
+    return run_srr_series(panel, PipelineConfig(window_m=4),
+                          calibrator=scripted)
+
+
+def test_csv_round_trip_with_markers(tmp_path) -> None:
+    run = _scripted_singular_run()
     rows_path = tmp_path / "rows.csv"
     write_rows_csv(run.rows, rows_path)
     text = rows_path.read_text().splitlines()
@@ -333,6 +341,39 @@ def test_csv_round_trip_with_markers(tmp_path) -> None:
     lines = singular_path.read_text().splitlines()
     assert lines[0] == "date,d_1,d_2"
     assert len(lines) == 1 + len(run.rows)
+
+
+def _csv_module_text(header: list[str], rows) -> str:
+    """What the ``csv`` module writes for these cells, the reference for
+    the writers' joined columns."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("block", [1, 7, 512])
+def test_csv_writers_match_the_csv_module(tmp_path, monkeypatch,
+                                           block) -> None:
+    # a blank-marked run and a longer one, written a block of rows at a time
+    monkeypatch.setattr(pipeline, "ROWS_PER_BLOCK", block)
+    scripted = _scripted_singular_run()
+    gbm = run_srr_series(_gbm_panel(steps=700, seed=100),
+                         PipelineConfig(window_m=600))
+    for run in (scripted, gbm):
+        write_rows_csv(run.rows, tmp_path / "rows.csv")
+        assert (tmp_path / "rows.csv").read_text() == _csv_module_text(
+            ROWS_HEADER.split(","),
+            [[str(row.date)] + ["" if v is None else repr(float(v))
+                                for v in list(vars(row).values())[1:]]
+             for row in run.rows])
+        write_singular_csv(run.singular_values, tmp_path / "d.csv")
+        n = len(run.singular_values[0][1])
+        assert (tmp_path / "d.csv").read_text() == _csv_module_text(
+            ["date"] + [f"d_{i + 1}" for i in range(n)],
+            [[str(label)] + [repr(float(v)) for v in d]
+             for label, d in run.singular_values])
 
 
 def test_start_index_validation() -> None:
