@@ -9,6 +9,7 @@ unknown (``None``) and nothing is set.
 from __future__ import annotations
 
 import ctypes
+import threading
 from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
@@ -17,6 +18,12 @@ import numpy as np
 
 _GET = "scipy_openblas_get_num_threads64_"
 _SET = "scipy_openblas_set_num_threads64_"
+
+# The count is process-wide, so the scopes of one_thread share one state:
+# how many are open, and the count to restore when the last one closes.
+_SCOPE_LOCK = threading.Lock()
+_scopes = 0
+_restore: int | None = None
 
 
 @cache
@@ -50,14 +57,22 @@ def set_threads(count: int) -> None:
 @contextmanager
 def one_thread():
     """Run the body with the BLAS at one thread, then restore the count it
-    had before."""
-    before = threads()
-    set_threads(1)
+    had before. Scopes may nest and overlap, in one thread or several: the
+    first to open sets one thread, the last to close restores the count
+    found by the first."""
+    global _scopes, _restore
+    with _SCOPE_LOCK:
+        if _scopes == 0:
+            _restore = threads()
+            set_threads(1)
+        _scopes += 1
     try:
         yield
     finally:
-        if before is not None:
-            set_threads(before)
+        with _SCOPE_LOCK:
+            _scopes -= 1
+            if _scopes == 0 and _restore is not None:
+                set_threads(_restore)
 
 
 def describe() -> dict:

@@ -17,17 +17,18 @@ A direct-route chunk holds the dates whose N x N arrays fit
 ``CHUNK_BYTES``. A ``calibrator=`` hook, handed one window per call, runs
 one date per chunk. So does the regression route, which would keep its bits
 in full chunks: it stays at one date because the benchmark's peak-RSS
-reading rises with the rounds a faster run fits (ROADMAP items 3 and 4).
+reading rises with the rounds a faster run fits (ROADMAP items 1 and 8).
 
 Stages 1 and 2 of one chunk need nothing from another, so successive chunks
 run them on a thread pool, one worker per usable CPU, with at most two
 chunks per worker in flight; the calling thread takes the results in date
-order and runs stage 3. The same loop runs serially, on the calling thread,
-when chunks hold one date (so a ``calibrator`` is only ever called there),
-when there are fewer than two chunks, and unless the BLAS under numpy
-reports exactly one thread: on top of a multi-thread BLAS the pool made the
-engine slower. The command line sets one BLAS thread; a library caller gets
-the pool by doing the same (``shadowrate.blas``).
+order and runs stage 3. A pooled run holds the BLAS under numpy at one
+thread (``blas.one_thread``), since pool threads on top of a multi-thread
+BLAS made the engine slower, and restores the caller's count when it ends,
+also on an error. The same loop runs serially, on the calling thread, and
+leaves the BLAS alone, when chunks hold one date (so a ``calibrator`` is
+only ever called there), when there are fewer than two chunks, and when the
+BLAS's thread count is unknown.
 
 Singular dates are masked, not raised: their raw fields are not-available
 markers, and the regularized path normally still produces values. Each
@@ -179,7 +180,7 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
     if first > last:
         raise ValueError(f"start_index {first} after end_index {last}")
 
-    d_levels, x_levels = _carried_levels(states, n)
+    levels = _carried_levels(states, n)
     clamped = spectrum_indices(cfg.resolved_svd_mode())
     d_band = (1.0 - cfg.epsilon, 1.0 + cfg.epsilon)
     x_bands = np.array([cfg.delta_nu] + [cfg.delta_sigma] * (n - 1))
@@ -195,17 +196,12 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
         return (end, count, mu, phi) + factor_and_solve(phi, mu)
 
     workers = _engine_workers(per_chunk, len(ends))
-    pool = None
-    if workers > 1:
-        # imported here, so a serial run, such as every one-date update,
-        # does not pay for the import
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(workers, thread_name_prefix="shadowrate")
-    rows: list[SrrSeriesRow] = []
-    spectra: list[tuple[DateLabel, np.ndarray]] = []
-    try:
-        chunks = map(systems, ends) if pool is None \
-            else _in_date_order(pool, systems, ends, 2 * workers)
+
+    def take(chunks: Iterator, d_levels: np.ndarray,
+             x_levels: np.ndarray) -> SrrRun:
+        """Stage 3 on the chunks' stage-2 results, in date order."""
+        rows: list[SrrSeriesRow] = []
+        spectra: list[tuple[DateLabel, np.ndarray]] = []
         for end, count, mu, phi, d, v, u_mu, raw_ok, x_raw in chunks:
             d_bar = d.copy()
             d_bar[:, clamped], d_levels[clamped] = clamp_levels(
@@ -218,22 +214,32 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
                           residual)
             # one array per date, so a one-date chunk's spectrum holds no base
             spectra += zip(dates, [spectrum.copy() for spectrum in d])
-    finally:
-        if pool is not None:
-            # after an error, the queued chunks never start
-            pool.shutdown(cancel_futures=True)
+        return SrrRun(rows, spectra, RegularizerStates(
+            d_levels, float(x_levels[0]), x_levels[1:]), workers)
 
-    return SrrRun(rows, spectra, RegularizerStates(
-        d_levels, float(x_levels[0]), x_levels[1:]), workers)
+    if workers == 1:
+        return take(map(systems, ends), *levels)
+    # imported here, so a serial run, such as every one-date update, does
+    # not pay for the import
+    from concurrent.futures import ThreadPoolExecutor
+    with blas.one_thread():
+        pool = ThreadPoolExecutor(workers, thread_name_prefix="shadowrate")
+        try:
+            return take(_in_date_order(pool, systems, ends, 2 * workers),
+                        *levels)
+        finally:
+            # waits for the workers; after an error, the queued chunks
+            # never start
+            pool.shutdown(cancel_futures=True)
 
 
 def _engine_workers(per_chunk: int, chunks: int) -> int:
     """Threads that run stages 1 and 2b: one per usable CPU, up to one per
-    chunk, when chunks hold more than one date and the BLAS runs one
-    thread; otherwise 1, the serial engine. One-date chunks keep user
-    calibrators on the calling thread, and threads on top of a multi-thread
-    BLAS made the engine slower."""
-    if per_chunk < 2 or chunks < 2 or blas.threads() != 1:
+    chunk, when chunks hold more than one date and the BLAS's thread count
+    is known, for the run holds it at one thread; otherwise 1, the serial
+    engine. One-date chunks keep user calibrators on the calling thread,
+    and neither they nor a single chunk ask the BLAS anything."""
+    if per_chunk < 2 or chunks < 2 or blas.threads() is None:
         return 1
     if hasattr(os, "sched_getaffinity"):
         return min(len(os.sched_getaffinity(0)), chunks)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+import pytest
+
 CRITERIA: dict[int, tuple[str, str]] = {}
 
 
@@ -20,6 +22,19 @@ def criterion(number: int, label: str):
         CRITERIA[number] = (label, "FAIL")
         raise
     CRITERIA[number] = (label, "PASS")
+
+
+@pytest.fixture
+def blas_at_two():
+    """The BLAS under numpy at two threads for the test, as numpy's default
+    on a 2-core host; the count found before is restored after it."""
+    from shadowrate import blas
+    before = blas.threads()
+    if before is None:
+        pytest.skip("the BLAS under numpy has no thread count to set")
+    blas.set_threads(2)
+    yield
+    blas.set_threads(before)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -160,16 +160,6 @@ def test_srr_manifest_pins_every_key(tmp_path, capsys) -> None:
     }
 
 
-@pytest.fixture
-def blas_at_two():
-    before = blas.threads()
-    if before is None:
-        pytest.skip("the BLAS under numpy has no thread count to set")
-    blas.set_threads(2)
-    yield
-    blas.set_threads(before)
-
-
 def test_main_runs_one_blas_thread_and_restores_the_callers(
         tmp_path, capsys, monkeypatch, blas_at_two) -> None:
     prices = _simulate(tmp_path, n=3, steps=50, seed=9)

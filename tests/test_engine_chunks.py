@@ -2,8 +2,9 @@
 rows and spectra agree bit for bit however the dates fall into chunks, on
 degenerate panels too, and the stacked helpers give the bits of the plain
 arithmetic of one system. The pooled engine gives the serial engine's bits,
-raises a worker's error in date order and keeps a ``calibrator`` on the
-calling thread."""
+raises a worker's error in date order, keeps a ``calibrator`` on the
+calling thread, and runs at one BLAS thread while restoring the caller's
+count, also when runs overlap; the serial engine leaves the BLAS alone."""
 
 from __future__ import annotations
 
@@ -123,12 +124,41 @@ def test_warm_start_inside_a_chunk_matches_reference(monkeypatch, method,
     assert _bits(joined) == _bits(oracle_srr_series(START_PANEL, cfg))
 
 
-def _threads(monkeypatch, cpus: int, blas_threads: int | None = 1) -> None:
-    """Make the engine see ``cpus`` usable CPUs and a BLAS that reports
-    ``blas_threads`` threads (None: a BLAS whose count is unknown)."""
-    monkeypatch.setattr(blas, "threads", lambda: blas_threads)
+def _cpus(monkeypatch, cpus: int) -> None:
+    """Make the engine see ``cpus`` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
+
+
+def _threads(monkeypatch, cpus: int,
+             blas_threads: int | None = 1) -> SimpleNamespace:
+    """Make the engine see ``cpus`` usable CPUs and a stand-in BLAS whose
+    count starts at ``blas_threads`` (None: a BLAS whose count is unknown,
+    which nothing may set). Returns the stand-in; its ``count`` is the
+    count now."""
+    fake = SimpleNamespace(count=blas_threads)
+
+    def set_threads(count: int) -> None:
+        assert fake.count is not None, "a BLAS of unknown count was set"
+        fake.count = count
+
+    monkeypatch.setattr(blas, "threads", lambda: fake.count)
+    monkeypatch.setattr(blas, "set_threads", set_threads)
+    _cpus(monkeypatch, cpus)
+    return fake
+
+
+def _blas_seen(monkeypatch) -> set:
+    """The BLAS counts stage 2b runs at, from whichever thread runs it."""
+    seen: set = set()
+    stage = pipeline.factor_and_solve
+
+    def recorded(phi, mu):
+        seen.add(blas.threads())
+        return stage(phi, mu)
+
+    monkeypatch.setattr(pipeline, "factor_and_solve", recorded)
+    return seen
 
 
 def _state_bits(states: RegularizerStates) -> tuple:
@@ -145,16 +175,127 @@ def test_pooled_engine_matches_serial(monkeypatch, blas_threads, cpus,
     _threads(monkeypatch, 3, blas_threads=None)
     serial = _engine(START_PANEL, START_CFG)
     assert serial.workers == 1
-    _threads(monkeypatch, cpus, blas_threads)
+    fake = _threads(monkeypatch, cpus, blas_threads)
+    seen = _blas_seen(monkeypatch)
     chunks.clear()
     pooled = _engine(START_PANEL, START_CFG)
     count = -(-141 // dates)
     assert len(chunks) == count
-    # only a one-thread BLAS and chunks of several dates get the pool
-    assert pooled.workers == (min(cpus, count) if blas_threads == 1
-                              and dates > 1 else 1)
+    # any BLAS of known count and chunks of several dates get the pool,
+    # which runs at one BLAS thread and then restores the caller's count
+    pools = blas_threads is not None and dates > 1
+    assert pooled.workers == (min(cpus, count) if pools else 1)
+    assert seen == {1 if pooled.workers > 1 else blas_threads}
+    assert fake.count == blas_threads
     assert _bits(pooled) == _bits(serial)
     assert _state_bits(pooled.states) == _state_bits(serial.states)
+
+
+def test_library_caller_at_two_blas_threads_gets_the_pool(
+        monkeypatch, blas_at_two) -> None:
+    # the BLAS under numpy itself, not a stand-in
+    _dates_per_chunk(monkeypatch, 4, 7)
+    with monkeypatch.context() as unknown:
+        unknown.setattr(blas, "threads", lambda: None)
+        serial = _engine(START_PANEL, START_CFG)
+    _cpus(monkeypatch, 3)
+    seen = _blas_seen(monkeypatch)
+    pooled = _engine(START_PANEL, START_CFG)
+    assert (serial.workers, pooled.workers) == (1, 3)
+    assert seen == {1} and blas.threads() == 2
+    assert _bits(pooled) == _bits(serial)
+    assert _state_bits(pooled.states) == _state_bits(serial.states)
+
+    def fail(end):
+        if end == 65:
+            raise ValueError("no window ending at row 65")
+
+    _failing_chunks(monkeypatch, fail)
+    with pytest.raises(ValueError, match="^no window ending at row 65$"):
+        _engine(START_PANEL, START_CFG)
+    assert blas.threads() == 2
+
+
+def test_overlapping_pooled_runs_restore_the_callers_count(
+        monkeypatch, blas_at_two) -> None:
+    # Two caller threads run the pool at once. Run a opens its BLAS scope
+    # first and closes it first; run b opens inside a's scope, so it finds
+    # one thread, and closes last. Each must still give the serial bits,
+    # and the caller's two threads must be back after both.
+    _dates_per_chunk(monkeypatch, 4, 2)
+    with monkeypatch.context() as unknown:
+        unknown.setattr(blas, "threads", lambda: None)
+        serial = _engine(START_PANEL, START_CFG)
+    _cpus(monkeypatch, 2)
+    cfg_a, cfg_b = replace(START_CFG), replace(START_CFG)
+    a_in, b_in, a_done = threading.Event(), threading.Event(), \
+        threading.Event()
+    seen: list = []
+    stage = pipeline.chunk_systems
+
+    def gated(r, values, end, count, cfg, calibrator):
+        seen.append(blas.threads())
+        if cfg is cfg_a and end == 59:
+            a_in.set()
+            assert b_in.wait(timeout=10)
+        if cfg is cfg_b and end == 59:
+            b_in.set()
+        if cfg is cfg_b and end + count == 200:
+            assert a_done.wait(timeout=10)
+        return stage(r, values, end, count, cfg, calibrator)
+
+    monkeypatch.setattr(pipeline, "chunk_systems", gated)
+    runs: dict = {}
+    errors: list = []
+
+    def call(cfg) -> None:
+        # not _engine: catch_warnings is not safe across threads
+        try:
+            runs[cfg is cfg_a] = run_srr_series(START_PANEL, cfg)
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            if cfg is cfg_a:
+                a_done.set()
+
+    callers = [threading.Thread(target=call, args=(cfg,))
+               for cfg in (cfg_a, cfg_b)]
+    callers[0].start()
+    assert a_in.wait(timeout=10)
+    callers[1].start()
+    for caller in callers:
+        caller.join(timeout=30)
+    assert not errors and not any(c.is_alive() for c in callers)
+    assert set(seen) == {1} and blas.threads() == 2
+    for run in runs.values():
+        assert run.workers == 2
+        assert _bits(run) == _bits(serial)
+        assert _state_bits(run.states) == _state_bits(serial.states)
+
+
+@pytest.mark.parametrize("case", ["one-date update", "single chunk",
+                                  "regression", "calibrator"])
+def test_serial_runs_leave_the_blas_alone(monkeypatch, case) -> None:
+    head = _engine(START_PANEL, START_CFG, end_index=69)
+    if case != "single chunk":
+        # 141 dates at N=4 are one chunk of the module's own budget
+        _dates_per_chunk(monkeypatch, 4, 2)
+    _cpus(monkeypatch, 3)
+
+    def asked(*args):
+        raise AssertionError("the serial engine asked the BLAS")
+
+    monkeypatch.setattr(blas, "threads", asked)
+    monkeypatch.setattr(blas, "set_threads", asked)
+    kwargs = {"one-date update": dict(start_index=70, end_index=70,
+                                      states=head.states),
+              "single chunk": {}, "regression": {},
+              "calibrator": dict(calibrator=calibrate)}[case]
+    cfg = replace(START_CFG, method="regression") \
+        if case == "regression" else START_CFG
+    run = _engine(START_PANEL, cfg, **kwargs)
+    assert run.workers == 1
+    assert len(run.rows) == (1 if case == "one-date update" else 141)
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
