@@ -11,7 +11,8 @@ min-rate  : composite-asset minimum-rate search over a return panel
 File-writing commands also write a JSON run manifest (config echo, SHA-256
 of the input file, tool version, and the seed for simulations) next to the
 output, so a run can be reproduced byte-for-byte; ``srr``'s also records the
-Python, numpy and BLAS versions, the BLAS threads and the engine's workers.
+output digests, counts of dates and of blank cells, the Python, numpy and
+BLAS versions, the BLAS threads and the engine's workers.
 
 Every command runs with the BLAS at one thread (restored on return): the
 engine's N x N LAPACK calls are too small to gain from BLAS threads, and at
@@ -105,19 +106,24 @@ def _cmd_srr(args: argparse.Namespace) -> int:
     run = run_srr_series(panel, cfg)
 
     out_path = Path(args.out)
-    write_rows_csv(run.rows, out_path)
+    write_rows_csv(run, out_path)
     singular_path = out_path.with_suffix(".singular-values.csv")
-    write_singular_csv(run.singular_values, singular_path)
+    write_singular_csv(run, singular_path)
+    # blank cells in the first three columns: nu_raw, nu_eps and nu_hat
+    raw_blank, _, hat_blank = np.isnan(run.values[:, :3]).sum(axis=0).tolist()
     manifest_path = _write_manifest(out_path, "srr", {
         "config": {**dataclasses.asdict(cfg),
                    "svd_mode": cfg.resolved_svd_mode(),
                    "layout": args.layout, "align": args.align},
         "input": _file_digest(prices_path),
+        "outputs": [_file_digest(out_path), _file_digest(singular_path)],
+        "counts": {"dates": len(run.dates), "raw_singular_dates": raw_blank,
+                   "blank_nu_hat_dates": hat_blank},
         "runtime": {"python": platform.python_version(),
                     "numpy": np.__version__, "blas": blas.describe(),
                     "engine_workers": run.workers},
     })
-    print(f"wrote {len(run.rows)} rows to {out_path} "
+    print(f"wrote {len(run.dates)} rows to {out_path} "
           f"(+ {singular_path.name}, {manifest_path.name})")
     return 0
 

@@ -175,6 +175,25 @@ def _read_table(path: Path | str, header_ok: Callable[[list[str]], bool],
             yield line_no, row
 
 
+# Rows _write_table formats at a time, which bounds its memory.
+ROWS_PER_BLOCK = 512
+
+
+def _write_table(path: Path | str, header, dates, values: np.ndarray) -> None:
+    """Write ``header`` through the ``csv`` module, which quotes the cells
+    that need it, then each date's label and row of ``values`` (NaN as a
+    blank cell), which never need quoting, joined a block at a time."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for a in range(0, len(dates), ROWS_PER_BLOCK):
+            b = a + ROWS_PER_BLOCK
+            columns = [map(_format_date_label, dates[a:b])]
+            columns += (["" if v != v else repr(v) for v in column]
+                        for column in values[a:b].T.tolist())
+            fh.write("".join([",".join(cells) + "\n"
+                              for cells in zip(*columns)]))
+
+
 def _is_dated_header(header: list[str]) -> bool:
     return header[:1] == ["date"] and len(header) >= 2
 
@@ -255,13 +274,7 @@ def load_prices(path: Path | str, layout: str = "wide") -> PricePanel:
 def write_prices(panel: PricePanel, path: Path | str) -> None:
     """Write a price panel in the wide layout (blank cell = no price on that
     date); output is canonical so a read-then-write cycle is byte-identical."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", *panel.asset_ids])
-        for d, row in zip(panel.dates, panel.prices.tolist()):
-            writer.writerow([_format_date_label(d)]
-                            + ["" if math.isnan(p) else _format_float(p)
-                               for p in row])
+    _write_table(path, ["date", *panel.asset_ids], panel.dates, panel.prices)
 
 
 def load_universe(path: Path | str) -> list[UniverseEntry]:

@@ -11,7 +11,8 @@ against theirs. The dates run in chunks, each through three stages:
 2. stacked factor and solve: one ``eigh`` (sign convention and clip
    included), the loadings and phi, one stacked SVD and the raw solves;
 3. clamp recursion, the only stage that steps date by date: the spectrum
-   levels, one batched re-solve, then the levels of ``[nu, sigma_pi...]``.
+   levels, one batched re-solve, then the levels of ``[nu, sigma_pi...]``;
+   the chunk fills its rows of the run's ``values`` and ``spectra``.
 
 A direct-route chunk holds the dates whose N x N arrays fit
 ``CHUNK_BYTES``. A ``calibrator=`` hook, handed one window per call, runs
@@ -30,11 +31,13 @@ leaves the BLAS alone, when chunks hold one date (so a ``calibrator`` is
 only ever called there), when there are fewer than two chunks, and when the
 BLAS's thread count is unknown.
 
-Singular dates are masked, not raised: their raw fields are not-available
-markers, and the regularized path normally still produces values. Each
+Singular dates are masked, not raised: NaN marks their raw fields in
+``values``, and the regularized path normally still produces values. Each
 stacked call gives the same bits as its one-date form, in any thread, so the
-rows do not depend on where the chunks fall or which thread ran them, and a
-run can be split at any date by carrying the clamp levels across the split.
+output does not depend on where the chunks fall or which thread ran them, and
+a run can be split at any date by carrying the clamp levels across the split.
+``SrrRun.rows`` and ``singular_values`` are rebuilt from the arrays on each
+access, so changing them leaves the run as it is.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from . import blas
 from .calibration import (METHODS, CalibratedModel, calibrate,  # noqa: F401
                           calibrate_windows)
 from .market_data import DataError, DateLabel, ReturnMatrix, window, \
-    _format_date_label, _format_float
+    _write_table
 from .regularization import (MODES, band_step, clamp,  # noqa: F401
                              regularize_singulars, spectrum_indices)
 from .solver import (assemble_phi, build_phi, norms, project,  # noqa: F401
@@ -120,7 +123,7 @@ class SrrSeriesRow:
     residual_norm: float | None
 
 
-ROWS_HEADER = ",".join(f.name for f in fields(SrrSeriesRow))
+ROW_FIELDS = tuple(f.name for f in fields(SrrSeriesRow))
 
 
 @dataclass(frozen=True)
@@ -137,14 +140,29 @@ class RegularizerStates:
 
 @dataclass(frozen=True)
 class SrrRun:
-    """One row and one raw singular spectrum per date, the clamp levels
-    after the last date, which warm-start a run that continues this one, and
-    the threads that ran the run's stages 1 and 2b."""
+    """A run held as arrays: ``values[t]`` holds the ``SrrSeriesRow``
+    fields after ``date`` for ``dates[t]``, in field order, NaN where the
+    row has None, and ``spectra[t]`` that date's raw singular spectrum.
+    ``states`` are the clamp levels after the last date, which warm-start a
+    run that continues this one, and ``workers`` the threads that ran the
+    run's stages 1 and 2b."""
 
-    rows: list[SrrSeriesRow]
-    singular_values: list[tuple[DateLabel, np.ndarray]]
+    dates: tuple[DateLabel, ...]
+    values: np.ndarray
+    spectra: np.ndarray
     states: RegularizerStates
     workers: int = 1
+
+    @property
+    def rows(self) -> list[SrrSeriesRow]:
+        """One row per date, None for NaN, built anew on each access."""
+        return [SrrSeriesRow(date, *(None if v != v else v for v in row))
+                for date, row in zip(self.dates, self.values.tolist())]
+
+    @property
+    def singular_values(self) -> list[tuple[DateLabel, np.ndarray]]:
+        """``(date, spectrum)`` per date, copied anew on each access."""
+        return list(zip(self.dates, self.spectra.copy()))
 
 
 def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
@@ -196,26 +214,25 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
         return (end, count, mu, phi) + factor_and_solve(phi, mu)
 
     workers = _engine_workers(per_chunk, len(ends))
+    table = np.empty((last + 1 - first, len(ROW_FIELDS) - 1))
+    spectra = np.empty((last + 1 - first, n))
 
     def take(chunks: Iterator, d_levels: np.ndarray,
              x_levels: np.ndarray) -> SrrRun:
         """Stage 3 on the chunks' stage-2 results, in date order."""
-        rows: list[SrrSeriesRow] = []
-        spectra: list[tuple[DateLabel, np.ndarray]] = []
-        for end, count, mu, phi, d, v, u_mu, raw_ok, x_raw in chunks:
+        for end, count, mu, phi, d, v, u_mu, x_raw in chunks:
             d_bar = d.copy()
             d_bar[:, clamped], d_levels[clamped] = clamp_levels(
                 d[:, clamped], d_levels[clamped], d_band, range(count))
             eps_ok, x_eps, residual = resolve(phi, mu, u_mu, d_bar, v)
             hat, x_levels = clamp_levels(x_eps, x_levels, x_band,
                                          np.flatnonzero(eps_ok).tolist())
-            dates = r.dates[end:end + count]
-            rows += _rows(dates, d, d_bar, raw_ok, x_raw, eps_ok, x_eps, hat,
-                          residual)
-            # one array per date, so a one-date chunk's spectrum holds no base
-            spectra += zip(dates, [spectrum.copy() for spectrum in d])
-        return SrrRun(rows, spectra, RegularizerStates(
-            d_levels, float(x_levels[0]), x_levels[1:]), workers)
+            at = slice(end - first, end - first + count)
+            spectra[at] = d
+            _fill(table[at], d, d_bar, x_raw, x_eps, hat, residual)
+        return SrrRun(r.dates[first:last + 1], table, spectra,
+                      RegularizerStates(d_levels, float(x_levels[0]),
+                                        x_levels[1:]), workers)
 
     if workers == 1:
         return take(map(systems, ends), *levels)
@@ -302,11 +319,11 @@ def chunk_systems(r: ReturnMatrix, values: np.ndarray, end: int, count: int,
 
 def factor_and_solve(phi: np.ndarray, mu: np.ndarray):
     """Stage 2b: one stacked SVD and the raw solves. Returns the spectra d
-    (K, N), the right singular vectors v, the projections u' mu, the mask of
-    non-singular dates and the raw solutions (K, N)."""
+    (K, N), the right singular vectors v, the projections u' mu and the raw
+    solutions (K, N), NaN at a singular date."""
     f = svd_factors(phi)
     u_mu = project(f.u, mu)
-    return (f.d, f.v, u_mu) + _masked_solve(u_mu, f.d, f.v)
+    return f.d, f.v, u_mu, _masked_solve(u_mu, f.d, f.v)[1]
 
 
 def resolve(phi: np.ndarray, mu: np.ndarray, u_mu: np.ndarray,
@@ -321,10 +338,10 @@ def resolve(phi: np.ndarray, mu: np.ndarray, u_mu: np.ndarray,
 def _masked_solve(u_mu: np.ndarray, d: np.ndarray,
                   v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The mask of non-singular spectra and the solutions; a singular date
-    is solved with unit values for its spectrum, so its row stays finite
-    (and is never read)."""
+    is solved with NaN for its spectrum, which makes its solution, and all
+    that is computed from it, NaN without a warning."""
     ok = ~singular(d)
-    return ok, svd_solve(u_mu, np.where(ok[:, None], d, 1.0), v)
+    return ok, svd_solve(u_mu, np.where(ok[:, None], d, math.nan), v)
 
 
 def clamp_levels(raw: np.ndarray, levels: np.ndarray, band: tuple,
@@ -340,78 +357,36 @@ def clamp_levels(raw: np.ndarray, levels: np.ndarray, band: tuple,
     return out, levels
 
 
-def _rows(dates, d, d_bar, raw_ok, x_raw, eps_ok, x_eps, hat,
-          residual) -> list[SrrSeriesRow]:
-    rows = []
-    for (date, rok, eok, nu_raw, nu_eps, nu_hat, sigma_raw, sigma_hat, d_1,
-         d_n, bar_max, bar_min, res) in zip(
-            dates, raw_ok.tolist(), eps_ok.tolist(), x_raw[:, 0].tolist(),
-            x_eps[:, 0].tolist(), hat[:, 0].tolist(),
-            norms(x_raw[:, 1:]).tolist(), norms(hat[:, 1:]).tolist(),
-            d[:, 0].tolist(), d[:, -1].tolist(), d_bar.max(axis=1).tolist(),
-            d_bar.min(axis=1).tolist(), residual.tolist()):
-        rows.append(SrrSeriesRow(
-            date=date,
-            nu_raw=nu_raw if rok else None,
-            nu_eps=nu_eps if eok else None,
-            nu_hat=nu_hat if eok else None,
-            sigma_pi_raw=sigma_raw if rok else None,
-            sigma_pi_hat=sigma_hat if eok else None,
-            kappa_raw=math.inf if d_n == 0.0 else d_1 / d_n,
-            kappa_eps=math.inf if bar_min == 0.0 else bar_max / bar_min,
-            d_min_raw=d_n, d_min_eps=bar_min,
-            residual_norm=res if eok else None))
-    return rows
+def _fill(out: np.ndarray, d, d_bar, x_raw, x_eps, hat, residual) -> None:
+    """Stage 3d: a chunk's rows of ``SrrRun.values``, one column per field
+    of ``SrrSeriesRow`` after ``date``. A singular date's solves are NaN,
+    and so are the fields computed from them."""
+    out[:, 0] = x_raw[:, 0]
+    out[:, 1] = x_eps[:, 0]
+    out[:, 2] = hat[:, 0]
+    out[:, 3] = norms(x_raw[:, 1:])
+    out[:, 4] = norms(hat[:, 1:])
+    out[:, 5] = d[:, 0]
+    out[:, 6] = d_bar.max(axis=1)
+    out[:, 7] = d[:, -1]
+    out[:, 8] = d_bar.min(axis=1)
+    out[:, 9] = residual
+    with np.errstate(divide="ignore", over="ignore"):
+        out[:, 5:7] /= out[:, 7:9]  # largest over smallest value
+    # x / -0.0 is -inf: a zero smallest value of either sign gives inf
+    out[:, 5:7][out[:, 7:9] == 0.0] = math.inf
 
 
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
 
-# Rows the writers format at a time: whole columns per block, with the
-# writers' memory bounded by the block, not the run.
-ROWS_PER_BLOCK = 512
+def write_rows_csv(run: SrrRun, path: Path | str) -> None:
+    """The rate series: one line per date, a blank cell for None."""
+    _write_table(path, ROW_FIELDS, run.dates, run.values)
 
 
-def _cell(value: float | None) -> str:
-    return "" if value is None else _format_float(value)
-
-
-def _write_columns(path: Path | str, header: str, count: int,
-                   columns: Callable[[int, int], list[list[str]]]) -> None:
-    """The header, then one line per row; ``columns(a, b)`` gives the cell
-    columns of rows ``a .. b - 1``, formatted ``ROWS_PER_BLOCK`` rows at a
-    time to bound the memory. No cell needs quoting."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for a in range(0, count, ROWS_PER_BLOCK):
-            fh.write("".join([",".join(cells) + "\n" for cells in
-                              zip(*columns(a, a + ROWS_PER_BLOCK))]))
-
-
-def write_rows_csv(rows: list[SrrSeriesRow], path: Path | str) -> None:
-    names = [f.name for f in fields(SrrSeriesRow)][1:]
-
-    def columns(a: int, b: int) -> list[list[str]]:
-        block = rows[a:b]
-        return [[_format_date_label(row.date) for row in block],
-                *([_cell(getattr(row, name)) for row in block]
-                  for name in names)]
-
-    _write_columns(path, ROWS_HEADER, len(rows), columns)
-
-
-def write_singular_csv(spectra: list[tuple[DateLabel, np.ndarray]],
-                       path: Path | str) -> None:
-    if not spectra:
-        raise ValueError("no singular-value rows to write")
-    d = np.array([spectrum for _, spectrum in spectra], dtype=np.float64)
-
-    def columns(a: int, b: int) -> list[list[str]]:
-        return [[_format_date_label(label) for label, _ in spectra[a:b]],
-                *(list(map(_format_float, column))
-                  for column in d[a:b].T.tolist())]
-
-    _write_columns(
-        path, ",".join(["date"] + [f"d_{i + 1}" for i in range(d.shape[1])]),
-        len(spectra), columns)
+def write_singular_csv(run: SrrRun, path: Path | str) -> None:
+    """The raw singular spectrum of each date, largest value first."""
+    header = ["date"] + [f"d_{i + 1}" for i in range(run.spectra.shape[1])]
+    _write_table(path, header, run.dates, run.spectra)

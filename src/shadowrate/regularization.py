@@ -11,7 +11,9 @@ positive previous level this is exactly
 and the interval form extends the same one-step band to negative levels
 without losing the betweenness property (the output always lies between the
 previous level and the raw value). A zero previous level passes the raw
-value through and re-seeds the recursion.
+value through and re-seeds the recursion. With ``epsilon < 1`` a nonzero
+level keeps its sign whatever the raw values do; a band ``epsilon >= 1``
+reaches zero or beyond, so the level can cross zero.
 
 The same primitive serves two roles: clamping the smallest singular
 value(s) of the per-date pricing matrix, and secondary smoothing of the

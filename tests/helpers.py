@@ -10,7 +10,7 @@ from datetime import date
 from pathlib import Path
 
 from shadowrate.market_data import PricePanel, ReturnMatrix
-from shadowrate.pipeline import ROWS_HEADER, SrrSeriesRow
+from shadowrate.pipeline import ROW_FIELDS, SrrSeriesRow
 
 # Price files in both layouts whose assets each keep to one date kind, while
 # the file as a whole mixes calendar and integer dates.
@@ -56,7 +56,7 @@ def read_rows_csv(path) -> list[SrrSeriesRow]:
     """The rows of an ``srr`` rate CSV; a blank cell reads as None."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        assert next(reader) == ROWS_HEADER.split(",")
+        assert next(reader) == list(ROW_FIELDS)
         return [SrrSeriesRow(_date_label(row[0]),
                              *(None if c == "" else float(c) for c in row[1:]))
                 for row in reader]

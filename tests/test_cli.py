@@ -17,8 +17,9 @@ import pytest
 import shadowrate
 from shadowrate import blas, cli
 from shadowrate.cli import main
-from shadowrate.market_data import UniverseEntry, select_assets
-from shadowrate.pipeline import ROWS_HEADER
+from shadowrate.market_data import (PricePanel, UniverseEntry,
+                                    select_assets, write_prices)
+from shadowrate.pipeline import ROW_FIELDS
 
 from helpers import MIXED_DATE_KINDS, read_rows_csv
 
@@ -97,7 +98,7 @@ def test_srr_end_to_end_with_manifest(tmp_path, capsys) -> None:
     assert "wrote 30 rows" in stdout
 
     lines = out.read_text().splitlines()
-    assert lines[0] == ROWS_HEADER
+    assert lines[0] == ",".join(ROW_FIELDS)
     assert len(lines) == 31  # 59 return rows, window 30
     rows = read_rows_csv(out)
     assert all(row.nu_raw is not None for row in rows)
@@ -138,6 +139,7 @@ def test_srr_manifest_pins_every_key(tmp_path, capsys) -> None:
                  "--method", "regression", "--delta-nu", "2e-5",
                  "--out", str(out)]) == 0
     capsys.readouterr()
+    singular = tmp_path / "rates.singular-values.csv"
     assert _manifest(tmp_path / "rates.manifest.json") == {
         "tool": "shadowrate",
         "version": shadowrate.__version__,
@@ -147,6 +149,11 @@ def test_srr_manifest_pins_every_key(tmp_path, capsys) -> None:
                    "layout": "wide", "align": "intersect-dates"},
         "input": {"path": str(prices), "algorithm": "sha256",
                   "digest": _sha256(prices)},
+        "outputs": [{"path": str(path), "algorithm": "sha256",
+                     "digest": _sha256(path)}
+                    for path in (out, singular)],
+        "counts": {"dates": 25, "raw_singular_dates": 0,
+                   "blank_nu_hat_dates": 0},
         "runtime": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -158,6 +165,28 @@ def test_srr_manifest_pins_every_key(tmp_path, capsys) -> None:
             "engine_workers": 1,
         },
     }
+
+
+def test_srr_manifest_counts_the_blank_dates(tmp_path, capsys) -> None:
+    # the third asset copies the first for 40 dates, so early windows are
+    # singular
+    rng = np.random.default_rng(3)
+    log_prices = np.cumsum(0.01 * rng.standard_normal((80, 3)), axis=0)
+    log_prices[:40, 2] = log_prices[:40, 0]
+    prices = tmp_path / "prices.csv"
+    write_prices(PricePanel(tuple(range(80)), ("A", "B", "C"),
+                            100.0 * np.exp(log_prices)), prices)
+    out = tmp_path / "rates.csv"
+    assert main(["srr", "--prices", str(prices), "--window", "25",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = read_rows_csv(out)
+    counts = _manifest(tmp_path / "rates.manifest.json")["counts"]
+    assert counts == {
+        "dates": len(rows),
+        "raw_singular_dates": sum(row.nu_raw is None for row in rows),
+        "blank_nu_hat_dates": sum(row.nu_hat is None for row in rows)}
+    assert counts["raw_singular_dates"] > 0
 
 
 def test_main_runs_one_blas_thread_and_restores_the_callers(

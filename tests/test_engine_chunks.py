@@ -389,16 +389,16 @@ def test_queued_chunks_are_cancelled_after_an_error(monkeypatch) -> None:
 def test_pool_keeps_two_chunks_per_worker_in_flight(monkeypatch) -> None:
     _threads(monkeypatch, 2)
     chunks = _dates_per_chunk(monkeypatch, 4, 2)
-    stage = pipeline._rows
+    stage = pipeline._fill
     ahead: list[int] = []
 
-    def slow_rows(*args):
+    def slow_fill(*args):
         # chunks started and not yet taken, this one included
         ahead.append(len(chunks) - len(ahead))
         time.sleep(0.001)  # let the workers run ahead if they may
         return stage(*args)
 
-    monkeypatch.setattr(pipeline, "_rows", slow_rows)
+    monkeypatch.setattr(pipeline, "_fill", slow_fill)
     run = _engine(START_PANEL, START_CFG)
     assert run.workers == 2 and len(ahead) == 71
     assert max(ahead) <= 4

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import re
 from datetime import date, timedelta
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowrate import market_data
 from shadowrate.market_data import (DataError, PricePanel, ReturnMatrix,
                                     UniverseEntry, load_prices, load_universe,
                                     log_returns, read_return_panel,
@@ -208,6 +211,27 @@ def test_price_panel_round_trips_through_both_layouts(tmp_path_factory,
     _assert_same_panel(load_prices(wide, layout="wide"), prices)
     _assert_same_panel(load_prices(long, layout="long"),
                        load_prices(wide, layout="wide"))
+
+
+@pytest.mark.parametrize("block", [1, 3, 512])
+def test_write_prices_matches_the_csv_module(tmp_path, monkeypatch,
+                                             block) -> None:
+    # ids that need quoting, gaps, and a last block that is not full
+    monkeypatch.setattr(market_data, "ROWS_PER_BLOCK", block)
+    ids = ("plain", "with,comma", 'say "hi"')
+    prices = np.arange(1.0, 31.0).reshape(10, 3) / 7.0
+    prices[[1, 4], [0, 2]] = NAN
+    dates = [date(2020, 1, 1) + timedelta(days=m) for m in range(10)]
+    write_prices(PricePanel(dates, ids, prices), tmp_path / "p.csv")
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["date", *ids])
+    writer.writerows([d.isoformat()] + ["" if math.isnan(p) else repr(p)
+                                        for p in row]
+                     for d, row in zip(dates, prices.tolist()))
+    text = (tmp_path / "p.csv").read_text()
+    assert text.startswith('date,plain,"with,comma","say ""hi"""\n')
+    assert text == expected.getvalue()
 
 
 def _expected_returns(prices: PricePanel) -> tuple[tuple, np.ndarray]:

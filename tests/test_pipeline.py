@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowrate import pipeline
+from shadowrate import market_data, pipeline
 from shadowrate.calibration import METHODS, CalibratedModel
 from shadowrate.market_data import DataError, ReturnMatrix
-from shadowrate.pipeline import (ROWS_HEADER, PipelineConfig, SrrRun,
+from shadowrate.pipeline import (ROW_FIELDS, PipelineConfig, SrrRun,
                                  run_srr_series, write_rows_csv,
                                  write_singular_csv)
 from shadowrate.regularization import MODES
@@ -240,15 +240,16 @@ def test_warm_start_at_any_split_points_is_bit_exact(method, svd_mode,
     cfg = PipelineConfig(window_m=SPLIT_WINDOW, method=method,
                          svd_mode=svd_mode)
     whole = _whole_run(method, svd_mode)
-    rows, spectra = [], []
+    pieces = []
     start, states = SPLIT_WINDOW - 1, None
     for end in sorted(ends) + [len(SPLIT_PANEL.dates) - 1]:
-        piece = run_srr_series(SPLIT_PANEL, cfg, start_index=start,
-                               end_index=end, states=states)
-        rows += piece.rows
-        spectra += piece.singular_values
-        start, states = end + 1, piece.states
-    joined = SrrRun(rows, spectra, states)
+        pieces.append(run_srr_series(SPLIT_PANEL, cfg, start_index=start,
+                                     end_index=end, states=states))
+        start, states = end + 1, pieces[-1].states
+    joined = SrrRun(sum((piece.dates for piece in pieces), ()),
+                    np.concatenate([piece.values for piece in pieces]),
+                    np.concatenate([piece.spectra for piece in pieces]),
+                    states)
     assert _bits(joined) == _bits(whole)
     assert _level_bits(joined.states) == _level_bits(whole.states)
 
@@ -322,12 +323,45 @@ def _scripted_singular_run() -> SrrRun:
                           calibrator=scripted)
 
 
+def test_nan_in_values_marks_none_in_rows() -> None:
+    run = _scripted_singular_run()
+    blank = np.isnan(run.values)
+    assert blank.any() and not blank.all()
+    rows = run.rows
+    assert blank.tolist() == [[v is None for v in list(vars(row).values())[1:]]
+                              for row in rows]
+    assert [row.date for row in rows] == list(run.dates)
+    marked = np.array([[math.nan if v is None else v
+                        for v in list(vars(row).values())[1:]]
+                       for row in rows])
+    assert marked.tobytes() == run.values.tobytes()
+    # both views are rebuilt on each access, so changing one leaves the run
+    spectra = run.spectra.copy()
+    run.singular_values[0][1][:] = -1.0
+    np.testing.assert_array_equal(run.spectra, spectra)
+    assert run.rows is not rows and run.rows == rows
+
+
+def test_one_date_update_builds_no_rows(monkeypatch) -> None:
+    panel = _gbm_panel(steps=700, seed=101)
+    cfg = PipelineConfig(window_m=600)
+    head = run_srr_series(panel, cfg, end_index=650)
+    built: list = []
+    monkeypatch.setattr(pipeline, "SrrSeriesRow",
+                        lambda *args: built.append(args))
+    update = run_srr_series(panel, cfg, start_index=651, end_index=651,
+                            states=head.states)
+    assert built == []
+    monkeypatch.undo()
+    assert update.rows == run_srr_series(panel, cfg).rows[52:53]
+
+
 def test_csv_round_trip_with_markers(tmp_path) -> None:
     run = _scripted_singular_run()
     rows_path = tmp_path / "rows.csv"
-    write_rows_csv(run.rows, rows_path)
+    write_rows_csv(run, rows_path)
     text = rows_path.read_text().splitlines()
-    assert text[0] == ROWS_HEADER
+    assert text[0] == ",".join(ROW_FIELDS)
     bad_line = next(line for line in text[1:] if line.startswith("6,"))
     fields = bad_line.split(",")
     assert fields[1] == "" and fields[4] == ""  # markers became blanks
@@ -337,7 +371,7 @@ def test_csv_round_trip_with_markers(tmp_path) -> None:
     assert loaded == run.rows
 
     singular_path = tmp_path / "singular.csv"
-    write_singular_csv(run.singular_values, singular_path)
+    write_singular_csv(run, singular_path)
     lines = singular_path.read_text().splitlines()
     assert lines[0] == "date,d_1,d_2"
     assert len(lines) == 1 + len(run.rows)
@@ -357,18 +391,18 @@ def _csv_module_text(header: list[str], rows) -> str:
 def test_csv_writers_match_the_csv_module(tmp_path, monkeypatch,
                                            block) -> None:
     # a blank-marked run and a longer one, written a block of rows at a time
-    monkeypatch.setattr(pipeline, "ROWS_PER_BLOCK", block)
+    monkeypatch.setattr(market_data, "ROWS_PER_BLOCK", block)
     scripted = _scripted_singular_run()
     gbm = run_srr_series(_gbm_panel(steps=700, seed=100),
                          PipelineConfig(window_m=600))
     for run in (scripted, gbm):
-        write_rows_csv(run.rows, tmp_path / "rows.csv")
+        write_rows_csv(run, tmp_path / "rows.csv")
         assert (tmp_path / "rows.csv").read_text() == _csv_module_text(
-            ROWS_HEADER.split(","),
+            ROW_FIELDS,
             [[str(row.date)] + ["" if v is None else repr(float(v))
                                 for v in list(vars(row).values())[1:]]
              for row in run.rows])
-        write_singular_csv(run.singular_values, tmp_path / "d.csv")
+        write_singular_csv(run, tmp_path / "d.csv")
         n = len(run.singular_values[0][1])
         assert (tmp_path / "d.csv").read_text() == _csv_module_text(
             ["date"] + [f"d_{i + 1}" for i in range(n)],

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowrate.pipeline import clamp_levels
 from shadowrate.regularization import ClampState, clamp, regularize_singulars
 
 from oracles import (ScalarClampState, scalar_clamp,
@@ -187,6 +188,37 @@ def test_secondary_regularize_descent_toward_zero_crossing() -> None:
     assert smoothed[1] == pytest.approx(0.9)
     assert all(v > 0.0 for v in smoothed)
     assert smoothed[-1] == pytest.approx(0.9 ** 50, rel=1e-12)
+
+
+below_one = st.floats(min_value=1e-6, max_value=1.0, exclude_max=True)
+
+
+@settings(max_examples=200)
+@given(n=st.integers(min_value=1, max_value=4), data=st.data())
+def test_levels_keep_their_sign_under_bands_below_one(n, data) -> None:
+    # the engine's [nu, sigma_pi...] clamp: per-component bands below 1,
+    # raw components whose signs change from date to date
+    bands = np.array(data.draw(st.lists(below_one, min_size=n, max_size=n)))
+    rows = data.draw(st.integers(min_value=1, max_value=30))
+    raw = np.array(data.draw(st.lists(
+        st.lists(finite, min_size=n, max_size=n), min_size=rows,
+        max_size=rows)))
+    start = np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
+    out, levels = clamp_levels(raw, start, (1.0 - bands, 1.0 + bands),
+                               range(rows))
+    assert levels.tobytes() == out[-1].tobytes()
+    path = np.vstack([start, out])
+    before, after = path[:-1], path[1:]
+    # a nonzero level never takes the other sign; it may only underflow
+    # to zero, which re-seeds it
+    held = (before != 0.0) & (after != 0.0)
+    assert (np.signbit(before) == np.signbit(after))[held].all()
+
+
+def test_a_band_of_one_or_more_can_cross_zero() -> None:
+    out, _ = clamp_levels(np.array([[-5.0]]), np.array([1.0]),
+                          (1.0 - 1.5, 1.0 + 1.5), range(1))
+    assert out[0, 0] == -0.5
 
 
 def test_fold_split_is_bit_exact() -> None:
