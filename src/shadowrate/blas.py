@@ -1,9 +1,9 @@
-"""Thread count of the OpenBLAS that numpy bundles, read and set through
-``ctypes``.
+"""Thread count and compute kernel of the OpenBLAS that numpy bundles,
+read (the count also set) through ``ctypes``.
 
 numpy's wheels ship OpenBLAS as ``scipy_openblas`` in ``numpy.libs``; a
-numpy built against another BLAS has no such library, and then the count is
-unknown (``None``) and nothing is set.
+numpy built against another BLAS has no such library, and then the count
+and the kernel are unknown (``None``) and nothing is set.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 _GET = "scipy_openblas_get_num_threads64_"
 _SET = "scipy_openblas_set_num_threads64_"
+_CORE = "scipy_openblas_get_corename64_"
 
 # The count is process-wide, so the scopes of one_thread share one state:
 # how many are open, and the count to restore when the last one closes.
@@ -28,15 +29,16 @@ _restore: int | None = None
 
 @cache
 def _calls() -> tuple | None:
-    """OpenBLAS's get and set functions for its thread count, or None."""
+    """OpenBLAS's calls for its thread count (get, set) and kernel, or None."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")) if libs.is_dir() else []:
         lib = ctypes.CDLL(str(path))
-        if hasattr(lib, _GET) and hasattr(lib, _SET):
-            get, put = getattr(lib, _GET), getattr(lib, _SET)
+        if all(hasattr(lib, name) for name in (_GET, _SET, _CORE)):
+            get, put, core = (getattr(lib, n) for n in (_GET, _SET, _CORE))
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
+            core.argtypes, core.restype = [], ctypes.c_char_p
+            return get, put, core
     return None
 
 
@@ -76,8 +78,11 @@ def one_thread():
 
 
 def describe() -> dict:
-    """The BLAS's name and version as numpy was built with them, and its
-    current thread count."""
+    """The BLAS's name and version as numpy was built with them, its
+    current thread count and the compute kernel it runs, which decides the
+    output bits (``OPENBLAS_CORETYPE`` sets it); None where unknown."""
     config = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    calls = _calls()
     return {"name": config.get("name"), "version": config.get("version"),
-            "threads": threads()}
+            "threads": threads(),
+            "core": None if calls is None else calls[2]().decode()}

@@ -12,7 +12,7 @@ File-writing commands also write a JSON run manifest (config echo, SHA-256
 of the input file, tool version, and the seed for simulations) next to the
 output, so a run can be reproduced byte-for-byte; ``srr``'s also records the
 output digests, counts of dates and of blank cells, the Python, numpy and
-BLAS versions, the BLAS threads and the engine's workers.
+BLAS versions, the BLAS threads and kernel, and the engine's workers.
 
 Every command runs with the BLAS at one thread (restored on return): the
 engine's N x N LAPACK calls are too small to gain from BLAS threads, and at

@@ -125,10 +125,6 @@ class ReturnMatrix:
             raise DataError("return panel contains non-finite values")
         _check_dates(self.dates, "return panel")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
 
 @dataclass(frozen=True)
 class UniverseEntry:

@@ -14,22 +14,23 @@ against theirs. The dates run in chunks, each through three stages:
    levels, one batched re-solve, then the levels of ``[nu, sigma_pi...]``;
    the chunk fills its rows of the run's ``values`` and ``spectra``.
 
-A direct-route chunk holds the dates whose N x N arrays fit
-``CHUNK_BYTES``. A ``calibrator=`` hook, handed one window per call, runs
-one date per chunk. So does the regression route, which would keep its bits
-in full chunks: it stays at one date because the benchmark's peak-RSS
-reading rises with the rounds a faster run fits (ROADMAP items 1 and 8).
+A ``calibrator=`` hook, handed one window per call, and the regression
+route run one date per chunk, serially; that one fact about the route sets
+both the chunk size and the pool. (The regression route would keep its bits
+in full chunks, but the benchmark's peak-RSS reading rises with the rounds
+a faster run fits: ROADMAP items 1 and 8.) A direct-route chunk holds the
+dates whose N x N arrays fit ``CHUNK_BYTES``, and at least two, so from
+N=65 a chunk exceeds that budget (1.2 MB at N=96).
 
-Stages 1 and 2 of one chunk need nothing from another, so successive chunks
-run them on a thread pool, one worker per usable CPU, with at most two
-chunks per worker in flight; the calling thread takes the results in date
-order and runs stage 3. A pooled run holds the BLAS under numpy at one
-thread (``blas.one_thread``), since pool threads on top of a multi-thread
-BLAS made the engine slower, and restores the caller's count when it ends,
-also on an error. The same loop runs serially, on the calling thread, and
-leaves the BLAS alone, when chunks hold one date (so a ``calibrator`` is
-only ever called there), when there are fewer than two chunks, and when the
-BLAS's thread count is unknown.
+Stages 1 and 2 of one chunk need nothing from another, so successive
+direct-route chunks run them on a thread pool, one worker per usable CPU,
+with at most two chunks per worker in flight; the calling thread takes the
+results in date order and runs stage 3. A pooled run holds the BLAS under
+numpy at one thread (``blas.one_thread``), since pool threads on top of a
+multi-thread BLAS made the engine slower, and restores the caller's count
+when it ends, also on an error. A one-date route, a single chunk and a BLAS
+of unknown thread count run the same loop serially, on the calling thread,
+and leave the BLAS alone.
 
 Singular dates are masked, not raised: NaN marks their raw fields in
 ``values``, and the regularized path normally still produces values. Each
@@ -68,7 +69,7 @@ from .solver import (assemble_phi, build_phi, norms, project,  # noqa: F401
 Calibrator = Callable[[ReturnMatrix], CalibratedModel]
 
 # Working set of one direct-route chunk: 64 N^2 bytes (eight N x N float64
-# arrays) per date.
+# arrays) per date; a chunk's two-date minimum exceeds it from N=65.
 CHUNK_BYTES = 2 ** 19
 
 
@@ -203,8 +204,8 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
     d_band = (1.0 - cfg.epsilon, 1.0 + cfg.epsilon)
     x_bands = np.array([cfg.delta_nu] + [cfg.delta_sigma] * (n - 1))
     x_band = (1.0 - x_bands, 1.0 + x_bands)
-    per_chunk = 1 if calibrator is not None or cfg.method == "regression" \
-        else max(1, CHUNK_BYTES // (64 * n * n))
+    one_date = calibrator is not None or cfg.method == "regression"
+    per_chunk = 1 if one_date else max(2, CHUNK_BYTES // (64 * n * n))
     ends = range(first, last + 1, per_chunk)
     values = np.ascontiguousarray(r.values)
 
@@ -213,7 +214,7 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
         mu, phi = chunk_systems(r, values, end, count, cfg, calibrator)
         return (end, count, mu, phi) + factor_and_solve(phi, mu)
 
-    workers = _engine_workers(per_chunk, len(ends))
+    workers = _engine_workers(one_date, len(ends))
     table = np.empty((last + 1 - first, len(ROW_FIELDS) - 1))
     spectra = np.empty((last + 1 - first, n))
 
@@ -250,13 +251,13 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
             pool.shutdown(cancel_futures=True)
 
 
-def _engine_workers(per_chunk: int, chunks: int) -> int:
+def _engine_workers(one_date: bool, chunks: int) -> int:
     """Threads that run stages 1 and 2b: one per usable CPU, up to one per
-    chunk, when chunks hold more than one date and the BLAS's thread count
-    is known, for the run holds it at one thread; otherwise 1, the serial
-    engine. One-date chunks keep user calibrators on the calling thread,
-    and neither they nor a single chunk ask the BLAS anything."""
-    if per_chunk < 2 or chunks < 2 or blas.threads() is None:
+    chunk, on the direct route when the BLAS's thread count is known, for
+    the run holds it at one thread; otherwise 1, the serial engine. A
+    one-date route keeps user calibrators on the calling thread, and
+    neither it nor a single chunk asks the BLAS anything."""
+    if one_date or chunks < 2 or blas.threads() is None:
         return 1
     if hasattr(os, "sched_getaffinity"):
         return min(len(os.sched_getaffinity(0)), chunks)
@@ -286,16 +287,14 @@ def _carried_levels(states: RegularizerStates | None,
     if (np.shape(states.d_levels) != (n,)
             or np.shape(states.sigma_levels) != (n - 1,)):
         raise ValueError("clamp states do not match the panel's asset count")
-    d_levels = np.array(states.d_levels, dtype=np.float64)
-    x_levels = np.empty(n)
-    x_levels[0] = states.nu_level
-    x_levels[1:] = states.sigma_levels
-    if not (np.isfinite(d_levels).all() and np.isfinite(x_levels).all()):
-        for level in (states.d_levels, states.nu_level, states.sigma_levels):
-            if not np.isfinite(level).all():
-                raise ValueError(f"previous level must be finite, "
-                                 f"got {level!r}")
-    return d_levels, x_levels
+    levels = np.empty(2 * n)
+    levels[:n] = states.d_levels
+    levels[n] = states.nu_level
+    levels[n + 1:] = states.sigma_levels
+    if not (np.isfinite(levels).all() and levels[:n].min() >= 0.0):
+        raise ValueError(f"previous level must be finite, and a spectrum "
+                         f"level not negative; got {states!r}")
+    return levels[:n], levels[n:]
 
 
 # ---------------------------------------------------------------------------

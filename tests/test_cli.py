@@ -160,7 +160,8 @@ def test_srr_manifest_pins_every_key(tmp_path, capsys) -> None:
             "blas": {"name": BLAS_BUILD.get("name"),
                      "version": BLAS_BUILD.get("version"),
                      # the command runs at one BLAS thread, if it can set it
-                     "threads": None if blas.threads() is None else 1},
+                     "threads": None if blas.threads() is None else 1,
+                     "core": blas.describe()["core"]},
             # the regression route runs one date per chunk, serially
             "engine_workers": 1,
         },
@@ -235,6 +236,27 @@ def test_srr_bytes_do_not_depend_on_blas_threads(tmp_path, capsys) -> None:
     assert outputs[0] == outputs[1]
     if outputs[0][2] == 1:
         assert outputs[0][3] == min(len(os.sched_getaffinity(0)), 4)
+
+
+def test_srr_manifest_records_the_blas_kernel(tmp_path, capsys) -> None:
+    # OPENBLAS_CORETYPE forces a kernel for one process; Haswell (AVX2)
+    # runs on any CPU that runs the native kernels of this build's wheels
+    if blas.threads() is None:
+        pytest.skip("numpy's BLAS is not the bundled OpenBLAS")
+    prices = _simulate(tmp_path, n=3, steps=50, seed=9)
+    capsys.readouterr()
+    src = str(Path(shadowrate.__file__).resolve().parents[1])
+    out = tmp_path / "rates.csv"
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shadowrate", "srr", "--prices", str(prices),
+         "--window", "25", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runtime = _manifest(out.with_suffix(".manifest.json"))["runtime"]
+    assert runtime["blas"]["core"] == "Haswell"
 
 
 def test_simulate_manifest_pins_every_key(tmp_path, capsys) -> None:

@@ -1,7 +1,8 @@
 """The chunked engine against the per-window reference loop in ``oracles``:
 rows and spectra agree bit for bit however the dates fall into chunks, on
 degenerate panels too, and the stacked helpers give the bits of the plain
-arithmetic of one system. The pooled engine gives the serial engine's bits,
+arithmetic of one system. A direct-route chunk holds at least two dates,
+but for a run's last. The pooled engine gives the serial engine's bits,
 raises a worker's error in date order, keeps a ``calibrator`` on the
 calling thread, and runs at one BLAS thread while restoring the caller's
 count, also when runs overlap; the serial engine leaves the BLAS alone."""
@@ -90,10 +91,11 @@ START_CFG = PipelineConfig(window_m=60, epsilon=0.2)
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("dates", [1, 2, 7])
 def test_chunk_boundaries_match_reference(monkeypatch, method, dates) -> None:
+    # a one-date budget still gives the direct route two-date chunks
     cfg = replace(START_CFG, method=method)
     chunks = _dates_per_chunk(monkeypatch, 4, dates)
     run = _engine(START_PANEL, cfg)
-    per_chunk = 1 if method == "regression" else dates
+    per_chunk = 1 if method == "regression" else max(2, dates)
     assert _sizes(chunks) == [per_chunk] * (141 // per_chunk) + \
         ([141 % per_chunk] if 141 % per_chunk else [])
     # the singular start covers several chunks; blank and clamped rates
@@ -179,15 +181,52 @@ def test_pooled_engine_matches_serial(monkeypatch, blas_threads, cpus,
     seen = _blas_seen(monkeypatch)
     chunks.clear()
     pooled = _engine(START_PANEL, START_CFG)
-    count = -(-141 // dates)
+    # a one-date budget gives two-date chunks
+    count = -(-141 // max(2, dates))
     assert len(chunks) == count
-    # any BLAS of known count and chunks of several dates get the pool,
-    # which runs at one BLAS thread and then restores the caller's count
-    pools = blas_threads is not None and dates > 1
+    # on the direct route any BLAS of known count gets the pool, which
+    # runs at one BLAS thread and then restores the caller's count
+    pools = blas_threads is not None
     assert pooled.workers == (min(cpus, count) if pools else 1)
     assert seen == {1 if pooled.workers > 1 else blas_threads}
     assert fake.count == blas_threads
     assert _bits(pooled) == _bits(serial)
+    assert _state_bits(pooled.states) == _state_bits(serial.states)
+
+
+@pytest.mark.parametrize("n", [40, 64, 65, 96])
+@pytest.mark.parametrize("dates", [None, 1])
+def test_direct_chunks_hold_two_dates_but_the_last(monkeypatch, n,
+                                                   dates) -> None:
+    # The module's budget fits 5 dates at N=40, 2 at N=64 and 1 from N=65;
+    # no budget gives a direct-route chunk of one date, except the last
+    # chunk of a run, which takes the dates left.
+    panel = _panel(_noisy(n + 12, n, seed=49))
+    chunks = _dates_per_chunk(monkeypatch, n, dates)
+    _engine(panel, PipelineConfig(window_m=n + 2))
+    sizes = _sizes(chunks)
+    assert sum(sizes) == 11 and len(sizes) > 1
+    assert min(sizes[:-1]) >= 2 and sizes[-1] >= 1
+
+
+def test_pool_past_the_chunk_budget_matches_serial_and_reference(
+        monkeypatch) -> None:
+    # At N=66 a two-date chunk (0.56 MB) exceeds the 0.52 MB budget, and
+    # the direct route still runs two-date chunks on the pool.
+    panel = _panel(_noisy(86, 66, seed=50))
+    cfg = PipelineConfig(window_m=80)
+    chunks = _dates_per_chunk(monkeypatch, 66, None)
+    _threads(monkeypatch, 2, blas_threads=None)
+    serial = _engine(panel, cfg)
+    fake = _threads(monkeypatch, 2, blas_threads=2)
+    seen = _blas_seen(monkeypatch)
+    chunks.clear()
+    pooled = _engine(panel, cfg)
+    assert _sizes(chunks) == [2, 2, 2, 1]
+    assert (serial.workers, pooled.workers) == (1, 2)
+    assert seen == {1} and fake.count == 2
+    assert _bits(pooled) == _bits(serial) == \
+        _bits(oracle_srr_series(panel, cfg))
     assert _state_bits(pooled.states) == _state_bits(serial.states)
 
 

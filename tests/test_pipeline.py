@@ -299,6 +299,54 @@ def test_warm_start_rejects_levels_of_another_asset_count() -> None:
         run_srr_series(narrow, cfg, start_index=71, states=head.states)
 
 
+def _three_asset_head() -> tuple[ReturnMatrix, PipelineConfig, object]:
+    """A seed-3 three-asset GBM panel (178 dates after row 120), window
+    100, and the clamp states of a head run that ends at row 120."""
+    spec = GbmSpec(mu=FIVE_ASSET_MU[:3], sigma=FIVE_ASSET_SIGMA[:3, :2],
+                   s0=FIVE_ASSET_S0[:3], steps=300, seed=3)
+    panel = simulate_gbm(spec)[1]
+    cfg = PipelineConfig(window_m=100)
+    return panel, cfg, run_srr_series(panel, cfg, end_index=120).states
+
+
+@pytest.mark.parametrize("negate", ["all", "one"])
+def test_warm_start_rejects_negative_spectrum_levels(negate) -> None:
+    # Spectrum levels are singular values; clamping against negated ones
+    # would blank nu_hat on all 178 dates of the tail.
+    panel, cfg, states = _three_asset_head()
+    d_levels = -states.d_levels if negate == "all" else \
+        states.d_levels * np.array([1.0, 1.0, -1.0])
+    bad = replace(states, d_levels=d_levels)
+    with pytest.raises(ValueError, match="spectrum level not negative"):
+        run_srr_series(panel, cfg, start_index=121, states=bad)
+
+
+def test_warm_start_accepts_zero_spectrum_levels() -> None:
+    # a zero level is unseeded, so all-zero levels start the tail afresh
+    panel, cfg, states = _three_asset_head()
+    zero = replace(states, d_levels=np.zeros(3), nu_level=0.0,
+                   sigma_levels=np.zeros(2))
+    fresh = run_srr_series(panel, cfg, start_index=121)
+    assert _bits(run_srr_series(panel, cfg, start_index=121,
+                                states=zero)) == _bits(fresh)
+
+
+def test_warm_start_accepts_signed_rate_levels() -> None:
+    # nu and the sigma_pi components are signed, so their levels may be
+    # negative
+    panel, cfg, states = _three_asset_head()
+    signed = replace(states, nu_level=-abs(states.nu_level),
+                     sigma_levels=-np.abs(states.sigma_levels))
+    tail = run_srr_series(panel, cfg, start_index=121, states=signed)
+    seeded = (tuple(ScalarClampState(cfg.epsilon, v)
+                    for v in signed.d_levels.tolist()),
+              ScalarClampState(cfg.delta_nu, signed.nu_level),
+              tuple(ScalarClampState(cfg.delta_sigma, v)
+                    for v in signed.sigma_levels.tolist()))
+    assert _bits(tail) == _bits(oracle_srr_series(
+        panel, cfg, start_index=121, states=seeded))
+
+
 def test_rerun_is_deterministic() -> None:
     panel = _gbm_panel(steps=700, seed=100)
     cfg = PipelineConfig(window_m=600)
