@@ -1,5 +1,5 @@
 """Compare source trees on ``shadowrate srr`` wall time across asset counts,
-and time the library's pooled engine against its serial one at N=5.
+and time the library's pooled engine against its serial one at N=5 or N=4.
 
     python scripts/engine_scaling.py --tree parent=/path/to/parent \\
         --tree change=. --out scaling.json
@@ -12,10 +12,13 @@ the manifest and the SHA-256 of both output CSVs, so the trees' bytes can
 be compared.
 
 The pool check runs in one process per run, with the last tree's ``src`` on
-the path. It backfills 2,500 dates of ``simulate --n 5 --steps 5000 --seed
-5`` at window 2500, once pooled and once on the serial engine (the BLAS
-thread count reported unknown, so the BLAS keeps numpy's count),
-alternating, ``--pool-runs`` times each.
+the path. With ``--pool n5`` (the default) it backfills 2,500 dates of
+``simulate --n 5 --steps 5000 --seed 5`` at window 2500; with ``--pool n4``
+it backfills the ``singular-start-n4`` benchmark workload's 2,000 dates at
+window 100, on the input ``benchmark/workloads.py`` builds. Each run goes
+once pooled and once on the serial engine (the BLAS thread count reported
+unknown, so the BLAS keeps numpy's count), alternating, ``--pool-runs``
+times each. ``--n`` with no sizes skips the ``srr`` comparison.
 
 Run it on a quiet host with the same ``OPENBLAS_NUM_THREADS`` for every
 tree; the times are only comparable within one run of the script.
@@ -41,13 +44,14 @@ from unittest import mock
 from shadowrate import PipelineConfig, blas, load_prices, log_returns
 from shadowrate.pipeline import run_srr_series
 panel = log_returns(load_prices(sys.argv[1]))
-cfg = PipelineConfig(window_m=2500)
-run_srr_series(panel, cfg, end_index=2499)  # warm-up
+window, dates = int(sys.argv[3]), int(sys.argv[4])
+cfg = PipelineConfig(window_m=window)
+run_srr_series(panel, cfg, end_index=window - 1)  # warm-up
 serial = sys.argv[2] == "serial"
 with mock.patch.object(blas, "threads",
                        (lambda: None) if serial else blas.threads):
     start = time.perf_counter()
-    run = run_srr_series(panel, cfg, end_index=2499 + 2499)
+    run = run_srr_series(panel, cfg, end_index=window - 1 + dates - 1)
     wall = time.perf_counter() - start
 print(json.dumps({"wall_s": wall, "workers": run.workers,
                   "blas": blas.describe(),
@@ -117,16 +121,27 @@ def srr_scaling(trees: dict[str, Path], sizes: list[int], pairs: int,
     return out
 
 
-def pool_check(tree: Path, runs: int, work: Path) -> dict:
-    prices = work / "prices-pool-5.csv"
-    _cli(tree, "simulate", "--n", "5", "--steps", "5000", "--seed", "5",
-         "--out", str(prices))
+def pool_check(tree: Path, runs: int, work: Path, shape: str) -> dict:
+    prices = work / f"prices-pool-{shape}.csv"
+    if shape == "n5":
+        window, dates = 2500, 2500
+        _cli(tree, "simulate", "--n", "5", "--steps", "5000", "--seed", "5",
+             "--out", str(prices))
+    else:
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1]
+                               / "benchmark"))
+        import workloads
+        w = workloads.WORKLOADS["singular-start-n4"]
+        window, dates = w.window, w.backfill
+        workloads.write_prices(workloads.singular_start_prices(w), w.layout,
+                               prices)
     results: dict = {"pooled": [], "serial": []}
     for i in range(runs):
         for mode in (("pooled", "serial") if i % 2 == 0
                      else ("serial", "pooled")):
             done = subprocess.run(
-                [sys.executable, "-c", POOL_RUN, str(prices), mode],
+                [sys.executable, "-c", POOL_RUN, str(prices), mode,
+                 str(window), str(dates)],
                 env=_env(tree), check=True, capture_output=True, text=True)
             results[mode].append(json.loads(done.stdout))
     walls = {mode: [r["wall_s"] for r in results[mode]] for mode in results}
@@ -143,10 +158,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--tree", action="append", required=True,
                         help="NAME=PATH of a source tree; give two or more")
-    parser.add_argument("--n", type=int, nargs="+",
+    parser.add_argument("--n", type=int, nargs="*",
                         default=[40, 64, 65, 96, 128])
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--pool-runs", type=int, default=16)
+    parser.add_argument("--pool", choices=("n5", "n4"), default="n5",
+                        help="the backfill the pool check times")
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
     trees = {name: Path(path).resolve() for name, path in
@@ -160,8 +177,8 @@ def main() -> int:
                      "OPENBLAS_NUM_THREADS":
                          os.environ.get("OPENBLAS_NUM_THREADS")},
             "srr": srr_scaling(trees, args.n, args.pairs, work),
-            "pool_n5": pool_check(list(trees.values())[-1], args.pool_runs,
-                                  work)}
+            f"pool_{args.pool}": pool_check(list(trees.values())[-1],
+                                            args.pool_runs, work, args.pool)}
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

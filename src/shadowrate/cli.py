@@ -36,8 +36,10 @@ import numpy as np
 
 from . import __version__, blas
 from .analysis import compare_full_universe, min_rate, quantiles
-from .market_data import (DataError, load_prices, load_universe, log_returns,
-                          read_return_panel, select_assets, write_prices,
+from .calibration import METHODS
+from .market_data import (ALIGNMENTS, LAYOUTS, DataError, load_prices,
+                          load_universe, log_returns, read_return_panel,
+                          select_assets, write_prices, _format_date_label,
                           _format_float, _read_table)
 from .pca import center_columns, covariance, pca
 from .pipeline import (PipelineConfig, run_srr_series, write_rows_csv,
@@ -110,7 +112,8 @@ def _cmd_srr(args: argparse.Namespace) -> int:
     singular_path = out_path.with_suffix(".singular-values.csv")
     write_singular_csv(run, singular_path)
     # blank cells in the first three columns: nu_raw, nu_eps and nu_hat
-    raw_blank, _, hat_blank = np.isnan(run.values[:, :3]).sum(axis=0).tolist()
+    blank = np.isnan(run.values[:, :3])
+    raw_blank, _, hat_blank = blank.sum(axis=0).tolist()
     manifest_path = _write_manifest(out_path, "srr", {
         "config": {**dataclasses.asdict(cfg),
                    "svd_mode": cfg.resolved_svd_mode(),
@@ -125,6 +128,11 @@ def _cmd_srr(args: argparse.Namespace) -> int:
     })
     print(f"wrote {len(run.dates)} rows to {out_path} "
           f"(+ {singular_path.name}, {manifest_path.name})")
+    if 2 * hat_blank > len(run.dates):  # a mostly blank nu_hat column
+        first, last = (_format_date_label(run.dates[t]) for t in
+                       np.flatnonzero(blank[:, 2])[[0, -1]])
+        print(f"warning: nu_hat is blank on {hat_blank} of {len(run.dates)} "
+              f"dates, from {first} to {last}", file=sys.stderr)
     return 0
 
 
@@ -154,14 +162,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     write_prices(dataclasses.replace(prices, dates=dates), out_path)
     manifest_path = _write_manifest(out_path, "simulate", {
-        "config": {
-            "n": n,
-            "steps": spec.steps,
-            "mu": [float(v) for v in mu],
-            "sigma": [[float(v) for v in row] for row in sigma],
-            "s0": [float(v) for v in s0],
-            "base_date": SIMULATE_BASE_DATE.isoformat(),
-        },
+        "config": {"n": n, "steps": spec.steps, "mu": mu.tolist(),
+                   "sigma": sigma.tolist(), "s0": s0.tolist(),
+                   "base_date": SIMULATE_BASE_DATE.isoformat()},
         "seed": spec.seed,
         "generator": GENERATOR_NAME,
         "output": _file_digest(out_path),
@@ -233,18 +236,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    price_flags = argparse.ArgumentParser(add_help=False)  # srr, min-rate
+    price_flags.add_argument("--layout", choices=LAYOUTS, default=LAYOUTS[0])
+    price_flags.add_argument("--align", choices=ALIGNMENTS,
+                             default=ALIGNMENTS[0])
+    defaults = PipelineConfig()  # the estimator's published defaults
 
-    srr = sub.add_parser("srr", help="moving-window rate estimation")
+    srr = sub.add_parser("srr", parents=[price_flags],
+                         help="moving-window rate estimation")
     srr.add_argument("--prices", required=True, help="input price CSV")
-    srr.add_argument("--layout", choices=("wide", "long"), default="wide")
-    srr.add_argument("--align", choices=("intersect-dates", "error-on-gap"),
-                     default="intersect-dates")
-    srr.add_argument("--window", type=int, default=2500)
-    srr.add_argument("--method", choices=("direct", "regression"),
-                     default="direct")
-    srr.add_argument("--epsilon", type=float, default=0.005)
-    srr.add_argument("--delta-nu", type=float, default=1e-5)
-    srr.add_argument("--delta-sigma", type=float, default=1e-3)
+    srr.add_argument("--window", type=int, default=defaults.window_m)
+    srr.add_argument("--method", choices=METHODS, default=defaults.method)
+    srr.add_argument("--epsilon", type=float, default=defaults.epsilon)
+    srr.add_argument("--delta-nu", type=float, default=defaults.delta_nu)
+    srr.add_argument("--delta-sigma", type=float, default=defaults.delta_sigma)
     srr.add_argument("--svd-mode", choices=("min", "all"), default=None,
                      help="clamp only the smallest singular value or all "
                           "of them (default: by method)")
@@ -276,16 +281,11 @@ def _build_parser() -> argparse.ArgumentParser:
     select.add_argument("--n", type=int, required=True)
     select.set_defaults(handler=_cmd_select)
 
-    min_rate_cmd = sub.add_parser("min-rate",
+    min_rate_cmd = sub.add_parser("min-rate", parents=[price_flags],
                                   help="composite minimum-rate search")
     group = min_rate_cmd.add_mutually_exclusive_group(required=True)
     group.add_argument("--returns", help="wide return-panel CSV")
     group.add_argument("--prices", help="price CSV (converted to log returns)")
-    min_rate_cmd.add_argument("--layout", choices=("wide", "long"),
-                              default="wide")
-    min_rate_cmd.add_argument("--align",
-                              choices=("intersect-dates", "error-on-gap"),
-                              default="intersect-dates")
     min_rate_cmd.add_argument("--k0", type=int, default=2)
     min_rate_cmd.add_argument("--tol-sigma", type=float, default=0.0)
     min_rate_cmd.add_argument("--tol-r", type=float, default=0.0)

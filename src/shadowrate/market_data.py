@@ -29,6 +29,11 @@ import numpy as np
 
 DateLabel = _date | int
 
+# The price CSV layouts ``load_prices`` reads and the policies by which
+# ``log_returns`` aligns dates across assets; the first of each is the default.
+LAYOUTS = ("wide", "long")
+ALIGNMENTS = ("intersect-dates", "error-on-gap")
+
 
 class DataError(ValueError):
     """An input file or panel failed validation."""
@@ -69,6 +74,23 @@ def _check_dates(dates, context: str) -> None:
                             f"({a!r} followed by {b!r})")
 
 
+def _check_panel(panel, field: str, context: str) -> np.ndarray:
+    """Store ``panel``'s dates and ids as tuples and its ``field`` as float64,
+    check the shape, the ids and the dates, and return the matrix."""
+    object.__setattr__(panel, "dates", tuple(panel.dates))
+    object.__setattr__(panel, "asset_ids", tuple(panel.asset_ids))
+    matrix = np.asarray(getattr(panel, field), dtype=np.float64)
+    object.__setattr__(panel, field, matrix)
+    m, n = len(panel.dates), len(panel.asset_ids)
+    if matrix.shape != (m, n):
+        raise DataError(f"{context} shape {matrix.shape} does not match "
+                        f"{m} dates x {n} assets")
+    if len(set(panel.asset_ids)) != n or not all(panel.asset_ids):
+        raise DataError(f"duplicate or empty asset ids in {context}")
+    _check_dates(panel.dates, context)
+    return matrix
+
+
 @dataclass(frozen=True)
 class PricePanel:
     """Prices of N assets on shared dates: ``prices[m, j]`` is asset j's
@@ -79,16 +101,7 @@ class PricePanel:
     prices: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "asset_ids", tuple(self.asset_ids))
-        prices = np.asarray(self.prices, dtype=np.float64)
-        object.__setattr__(self, "prices", prices)
-        m, n = len(self.dates), len(self.asset_ids)
-        if prices.shape != (m, n):
-            raise DataError(f"price panel shape {prices.shape} does not match "
-                            f"{m} dates x {n} assets")
-        if len(set(self.asset_ids)) != n or not all(self.asset_ids):
-            raise DataError("duplicate or empty asset ids in price panel")
+        prices = _check_panel(self, "prices", "price panel")
         for asset_id, column in zip(self.asset_ids, prices.T):
             observed = column[~np.isnan(column)]
             if observed.size < 2:
@@ -97,7 +110,6 @@ class PricePanel:
             if not np.all((observed > 0.0) & (observed < math.inf)):
                 raise DataError(f"asset {asset_id!r}: prices must be "
                                 f"positive and finite")
-        _check_dates(self.dates, "price panel")
 
 
 @dataclass(frozen=True)
@@ -109,21 +121,11 @@ class ReturnMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "asset_ids", tuple(self.asset_ids))
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        m, n = len(self.dates), len(self.asset_ids)
-        if m < 1 or n < 1:
+        values = _check_panel(self, "values", "return panel")
+        if values.size == 0:
             raise DataError("return panel must have at least one row and one column")
-        if values.shape != (m, n):
-            raise DataError(f"return panel shape {values.shape} does not match "
-                            f"{m} dates x {n} assets")
-        if len(set(self.asset_ids)) != n:
-            raise DataError("duplicate asset ids in return panel")
         if not np.all(np.isfinite(values)):
             raise DataError("return panel contains non-finite values")
-        _check_dates(self.dates, "return panel")
 
 
 @dataclass(frozen=True)
@@ -190,10 +192,6 @@ def _write_table(path: Path | str, header, dates, values: np.ndarray) -> None:
                               for cells in zip(*columns)]))
 
 
-def _is_dated_header(header: list[str]) -> bool:
-    return header[:1] == ["date"] and len(header) >= 2
-
-
 def _parse_price_cell(text: str, line_no: int, asset_id: str) -> float:
     try:
         value = float(text)
@@ -212,7 +210,8 @@ def _read_wide(path: Path | str, header_rule: str,
     """Read a ``date,<ids>`` table into its ids, its sorted dates and the
     matching matrix of ``parse_cell(text, line_no, asset_id)``; a duplicate
     date or a table without data rows raises :class:`DataError`."""
-    rows = _read_table(path, _is_dated_header, header_rule)
+    rows = _read_table(path, lambda h: h[:1] == ["date"] and len(h) >= 2,
+                       header_rule)
     ids = next(rows)[1:]
     dated: dict[DateLabel, list[float]] = {}
     for line_no, row in rows:
@@ -227,7 +226,7 @@ def _read_wide(path: Path | str, header_rule: str,
     return ids, dates, np.array([dated[d] for d in dates])
 
 
-def load_prices(path: Path | str, layout: str = "wide") -> PricePanel:
+def load_prices(path: Path | str, layout: str = LAYOUTS[0]) -> PricePanel:
     """Read a price CSV into a :class:`PricePanel`.
 
     ``layout`` is ``"wide"`` (one column per asset in header order, blank
@@ -236,12 +235,14 @@ def load_prices(path: Path | str, layout: str = "wide") -> PricePanel:
     non-numeric cells, and non-positive prices are rejected with the
     offending line number.
     """
+    if layout not in LAYOUTS:
+        raise DataError(f"unknown layout {layout!r}")
     if layout == "wide":
         ids, dates, prices = _read_wide(
             path, "wide header must be 'date,<asset ids>'",
             lambda cell, line_no, asset_id: math.nan if cell.strip() == ""
             else _parse_price_cell(cell, line_no, asset_id))
-    elif layout == "long":
+    else:
         rows = _read_table(path, lambda h: h == ["date", "asset_id", "price"],
                            "long header must be 'date,asset_id,price'")
         next(rows)
@@ -262,9 +263,7 @@ def load_prices(path: Path | str, layout: str = "wide") -> PricePanel:
         prices = np.full((len(dates), len(ids)), np.nan)
         for j, bucket in enumerate(per_asset.values()):
             prices[[row_of[d] for d in bucket], j] = list(bucket.values())
-    else:
-        raise DataError(f"unknown layout {layout!r}")
-    return PricePanel(tuple(dates), tuple(ids), prices)
+    return PricePanel(dates, ids, prices)
 
 
 def write_prices(panel: PricePanel, path: Path | str) -> None:
@@ -311,7 +310,7 @@ def read_return_panel(path: Path | str) -> ReturnMatrix:
     """Read a wide ``date,<ids>`` CSV of signed returns (all cells required)."""
     ids, dates, values = _read_wide(path, "header must be 'date,<asset ids>'",
                                     _parse_return_cell)
-    return ReturnMatrix(tuple(dates), tuple(ids), values)
+    return ReturnMatrix(dates, ids, values)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +318,7 @@ def read_return_panel(path: Path | str) -> ReturnMatrix:
 # ---------------------------------------------------------------------------
 
 def log_returns(panel: PricePanel,
-                policy: str = "intersect-dates") -> ReturnMatrix:
+                policy: str = ALIGNMENTS[0]) -> ReturnMatrix:
     """Take log ratios of consecutive prices on the dates every asset shares.
 
     ``values[m][j] = ln(P_j(d_{m+1}) / P_j(d_m))`` over those dates; row m
@@ -327,7 +326,7 @@ def log_returns(panel: PricePanel,
     (drop every date on which some asset has no price) or ``"error-on-gap"``
     (a missing price is an error naming the first such asset and date).
     """
-    if policy not in ("intersect-dates", "error-on-gap"):
+    if policy not in ALIGNMENTS:
         raise DataError(f"unknown alignment policy {policy!r}")
     gap = np.isnan(panel.prices)
     if policy == "error-on-gap" and gap.any():
@@ -341,7 +340,7 @@ def log_returns(panel: PricePanel,
                         f"{len(panel.asset_ids)} assets")
     dates = [panel.dates[m] for m in np.flatnonzero(complete)]
     p = panel.prices[complete]
-    return ReturnMatrix(tuple(dates[1:]), panel.asset_ids,
+    return ReturnMatrix(dates[1:], panel.asset_ids,
                         np.log(p[1:] / p[:-1]))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ from shadowrate.cli import main
 from shadowrate.market_data import (PricePanel, UniverseEntry,
                                     select_assets, write_prices)
 from shadowrate.pipeline import ROW_FIELDS
+from shadowrate.synthetic import GbmSpec, simulate_gbm
 
 from helpers import MIXED_DATE_KINDS, read_rows_csv
 
@@ -190,6 +192,46 @@ def test_srr_manifest_counts_the_blank_dates(tmp_path, capsys) -> None:
     assert counts["raw_singular_dates"] > 0
 
 
+def _collinear_prices(tmp_path, rows: int) -> Path:
+    """The seed-5 five-asset ``simulate`` panel of 3,000 dates, its fifth
+    asset a copy of the first on the first ``rows`` dates."""
+    mu, sigma, s0 = cli._default_parameters(5)
+    prices, _ = simulate_gbm(GbmSpec(mu=mu, sigma=sigma, s0=s0, steps=3000,
+                                     seed=5))
+    values = prices.prices.copy()
+    values[:rows, 4] = values[:rows, 0]
+    path = tmp_path / "prices.csv"
+    write_prices(dataclasses.replace(prices, prices=values), path)
+    return path
+
+
+@pytest.mark.parametrize("rows", [3000, 1500])
+def test_srr_warns_when_most_of_nu_hat_is_blank(tmp_path, capsys,
+                                                rows) -> None:
+    # the spectrum clamp seeds near 1e-18 on the singular first windows, so
+    # nu_hat stays blank on most dates, also on those of the second input
+    # that have a nu_raw: on all 2,500 under the SkylakeX kernel, on 2,490
+    # of the second input's under Haswell
+    out = tmp_path / "rates.csv"
+    assert main(["srr", "--prices", str(_collinear_prices(tmp_path, rows)),
+                 "--window", "500", "--out", str(out)]) == 0
+    rows_out = read_rows_csv(out)
+    blank = [row.date for row in rows_out if row.nu_hat is None]
+    assert len(rows_out) == 2500 and len(blank) > 1250 and blank[0] == 500
+    assert capsys.readouterr().err == (
+        f"warning: nu_hat is blank on {len(blank)} of 2500 dates, "
+        f"from {blank[0]} to {blank[-1]}\n")
+
+
+def test_srr_does_not_warn_on_a_clean_panel(tmp_path, capsys) -> None:
+    out = tmp_path / "rates.csv"
+    assert main(["srr", "--prices", str(_collinear_prices(tmp_path, 0)),
+                 "--window", "500", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert _manifest(tmp_path / "rates.manifest.json")["counts"][
+        "blank_nu_hat_dates"] == 0
+
+
 def test_main_runs_one_blas_thread_and_restores_the_callers(
         tmp_path, capsys, monkeypatch, blas_at_two) -> None:
     prices = _simulate(tmp_path, n=3, steps=50, seed=9)
@@ -213,10 +255,10 @@ def test_main_runs_one_blas_thread_and_restores_the_callers(
     capsys.readouterr()
 
 
-def test_srr_bytes_do_not_depend_on_blas_threads(tmp_path, capsys) -> None:
-    # 12 assets: chunks of 56 dates, so the 171 dates run on the pool
-    prices = _simulate(tmp_path, n=12, steps=201, seed=13)
-    capsys.readouterr()
+def _srr_at_blas_threads(tmp_path, prices, *flags) -> list[tuple]:
+    """``srr`` on ``prices`` in a subprocess at 1 and at 2 OpenBLAS threads:
+    per run, the two CSVs' bytes, the manifest's BLAS threads and engine
+    workers."""
     src = str(Path(shadowrate.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -226,16 +268,36 @@ def test_srr_bytes_do_not_depend_on_blas_threads(tmp_path, capsys) -> None:
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "shadowrate", "srr", "--prices",
-             str(prices), "--window", "30", "--out", str(out)],
+             str(prices), *flags, "--out", str(out)],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         runtime = _manifest(out.with_suffix(".manifest.json"))["runtime"]
         outputs.append((out.read_bytes(),
                         out.with_suffix(".singular-values.csv").read_bytes(),
                         runtime["blas"]["threads"], runtime["engine_workers"]))
+    return outputs
+
+
+def test_srr_bytes_do_not_depend_on_blas_threads(tmp_path, capsys) -> None:
+    # 12 assets: chunks of 56 dates, so the 171 dates run on the pool
+    prices = _simulate(tmp_path, n=12, steps=201, seed=13)
+    capsys.readouterr()
+    outputs = _srr_at_blas_threads(tmp_path, prices, "--window", "30")
     assert outputs[0] == outputs[1]
     if outputs[0][2] == 1:
         assert outputs[0][3] == min(len(os.sched_getaffinity(0)), 4)
+
+
+def test_srr_regression_bytes_do_not_depend_on_blas_threads(
+        tmp_path, capsys) -> None:
+    # At N=40, M=1500 the regression route's per-window lstsq rounds
+    # differently at 1 and 2 BLAS threads (a library run's bytes differ),
+    # so the bytes agree only because the CLI holds the BLAS at one thread.
+    prices = _simulate(tmp_path, n=40, steps=1522, seed=5)
+    capsys.readouterr()
+    outputs = _srr_at_blas_threads(tmp_path, prices, "--method", "regression",
+                                   "--window", "1500")
+    assert outputs[0][:2] == outputs[1][:2]
 
 
 def test_srr_manifest_records_the_blas_kernel(tmp_path, capsys) -> None:
@@ -388,6 +450,18 @@ def test_min_rate_reports_both_searches(tmp_path, capsys) -> None:
     assert sum(weights) == pytest.approx(1.0, abs=1e-12)
     assert float(out["sigma_r"]) > 0.0
     assert float(out["full_sigma_r"]) > 0.0
+
+
+def test_min_rate_rejects_an_empty_asset_id(tmp_path, capsys) -> None:
+    # a return panel applies the price panel's id rule
+    cells = 0.01 * np.random.default_rng(17).standard_normal((40, 3))
+    returns = tmp_path / "returns.csv"
+    returns.write_text("date,,A2,A3\n" + "".join(
+        f"{m},{','.join(map(repr, row))}\n"
+        for m, row in enumerate(cells.tolist())))
+    assert main(["min-rate", "--returns", str(returns)]) == 1
+    assert capsys.readouterr().err == ("error: duplicate or empty asset ids "
+                                       "in return panel\n")
 
 
 def test_min_rate_requires_exactly_one_input(tmp_path) -> None:

@@ -73,6 +73,12 @@ def test_return_matrix_validation() -> None:
         ReturnMatrix((0,), ("A",), np.zeros((2, 1)))
 
 
+def test_return_matrix_rejects_empty_ids() -> None:
+    # the rule a price panel applies: both panel types share one check
+    with pytest.raises(DataError, match="empty asset ids in return panel"):
+        ReturnMatrix((0, 1), ("", "B"), np.zeros((2, 2)))
+
+
 # ---------------------------------------------------------------------------
 # log_returns
 # ---------------------------------------------------------------------------
