@@ -1,24 +1,28 @@
 """Compare source trees on ``shadowrate srr`` wall time across asset counts,
-and time the library's pooled engine against its serial one at N=5 or N=4.
+and time the library's pooled engine against its serial one.
 
     python scripts/engine_scaling.py --tree parent=/path/to/parent \\
         --tree change=. --out scaling.json
 
 For each N of ``--n`` the first tree's ``simulate --n N --steps 2901
---seed 5`` makes one price file. Each tree then runs ``srr --window 2500``
-(401 dates) on it in its own process, ``--pairs`` times, alternating which
-tree runs first. Every run records its wall time, the engine workers from
-the manifest and the SHA-256 of both output CSVs, so the trees' bytes can
-be compared.
+--seed 5`` makes one price file. Each tree then runs ``srr --window 2500
+--method METHOD`` (401 dates; ``--method``, ``direct`` by default) on it in
+its own process, ``--pairs`` times, alternating which tree runs first.
+Every run records its wall time, the engine workers from the manifest and
+the SHA-256 of both output CSVs, so the trees' bytes can be compared.
 
 The pool check runs in one process per run, with the last tree's ``src`` on
 the path. With ``--pool n5`` (the default) it backfills 2,500 dates of
 ``simulate --n 5 --steps 5000 --seed 5`` at window 2500; with ``--pool n4``
 it backfills the ``singular-start-n4`` benchmark workload's 2,000 dates at
-window 100, on the input ``benchmark/workloads.py`` builds. Each run goes
-once pooled and once on the serial engine (the BLAS thread count reported
-unknown, so the BLAS keeps numpy's count), alternating, ``--pool-runs``
-times each. ``--n`` with no sizes skips the ``srr`` comparison.
+window 100; with ``--pool spike`` it backfills all 8,001 dates of the
+``spike-n5-regression`` workload (seed 5) on the regression route at window
+250. The benchmark inputs are the ones ``benchmark/workloads.py`` builds.
+Each run goes once pooled and once on the serial engine, alternating,
+``--pool-runs`` times each. The serial direct route has its BLAS thread
+count reported unknown, so the BLAS keeps numpy's count; the pooled
+regression route is made to pool as the direct route does, which the
+library never does. ``--n`` with no sizes skips the ``srr`` comparison.
 
 Run it on a quiet host with the same ``OPENBLAS_NUM_THREADS`` for every
 tree; the times are only comparable within one run of the script.
@@ -42,14 +46,19 @@ POOL_RUN = """
 import hashlib, json, sys, time
 from unittest import mock
 from shadowrate import PipelineConfig, blas, load_prices, log_returns
+from shadowrate import pipeline
 from shadowrate.pipeline import run_srr_series
-panel = log_returns(load_prices(sys.argv[1]))
+panel = log_returns(load_prices(sys.argv[1], layout=sys.argv[6]))
 window, dates = int(sys.argv[3]), int(sys.argv[4])
-cfg = PipelineConfig(window_m=window)
+cfg = PipelineConfig(window_m=window, method=sys.argv[5])
 run_srr_series(panel, cfg, end_index=window - 1)  # warm-up
-serial = sys.argv[2] == "serial"
-with mock.patch.object(blas, "threads",
-                       (lambda: None) if serial else blas.threads):
+workers = pipeline._engine_workers
+if sys.argv[2] == "serial":
+    patch = mock.patch.object(blas, "threads", lambda: None)
+else:  # any route pools as the direct route does
+    patch = mock.patch.object(pipeline, "_engine_workers",
+                              lambda direct, chunks: workers(True, chunks))
+with patch:
     start = time.perf_counter()
     run = run_srr_series(panel, cfg, end_index=window - 1 + dates - 1)
     wall = time.perf_counter() - start
@@ -82,7 +91,7 @@ def _summary(values: list[float]) -> dict:
 
 
 def srr_scaling(trees: dict[str, Path], sizes: list[int], pairs: int,
-                work: Path) -> dict:
+                method: str, work: Path) -> dict:
     names = list(trees)
     out: dict = {}
     for n in sizes:
@@ -95,7 +104,8 @@ def srr_scaling(trees: dict[str, Path], sizes: list[int], pairs: int,
             for name in order:
                 rates = work / f"rates-{n}-{name}.csv"
                 wall = _cli(trees[name], "srr", "--prices", str(prices),
-                            "--window", "2500", "--out", str(rates))
+                            "--window", "2500", "--method", method,
+                            "--out", str(rates))
                 manifest = json.loads(
                     rates.with_suffix(".manifest.json").read_text())
                 runs[name].append({
@@ -124,28 +134,34 @@ def srr_scaling(trees: dict[str, Path], sizes: list[int], pairs: int,
 def pool_check(tree: Path, runs: int, work: Path, shape: str) -> dict:
     prices = work / f"prices-pool-{shape}.csv"
     if shape == "n5":
-        window, dates = 2500, 2500
+        window, dates, method, layout = 2500, 2500, "direct", "wide"
         _cli(tree, "simulate", "--n", "5", "--steps", "5000", "--seed", "5",
              "--out", str(prices))
     else:
         sys.path.insert(0, str(Path(__file__).resolve().parents[1]
                                / "benchmark"))
         import workloads
-        w = workloads.WORKLOADS["singular-start-n4"]
-        window, dates = w.window, w.backfill
-        workloads.write_prices(workloads.singular_start_prices(w), w.layout,
-                               prices)
+        if shape == "n4":
+            w = workloads.WORKLOADS["singular-start-n4"]
+            dates, made = w.backfill, workloads.singular_start_prices(w)
+        else:
+            w = workloads.WORKLOADS["spike-n5-regression"]
+            dates, made = w.out_dates, workloads.spike_prices(w, 5)
+        window, method, layout = w.window, w.method, w.layout
+        workloads.write_prices(made, layout, prices)
     results: dict = {"pooled": [], "serial": []}
     for i in range(runs):
         for mode in (("pooled", "serial") if i % 2 == 0
                      else ("serial", "pooled")):
             done = subprocess.run(
                 [sys.executable, "-c", POOL_RUN, str(prices), mode,
-                 str(window), str(dates)],
+                 str(window), str(dates), method, layout],
                 env=_env(tree), check=True, capture_output=True, text=True)
             results[mode].append(json.loads(done.stdout))
     walls = {mode: [r["wall_s"] for r in results[mode]] for mode in results}
     return {
+        "input": {"shape": shape, "method": method, "window": window,
+                  "dates": dates},
         "runs": results,
         "wall_s": {mode: _summary(walls[mode]) for mode in walls},
         "pooled_faster_in": sum(p < s for p, s in zip(walls["pooled"],
@@ -162,8 +178,10 @@ def main() -> int:
                         default=[40, 64, 65, 96, 128])
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--pool-runs", type=int, default=16)
-    parser.add_argument("--pool", choices=("n5", "n4"), default="n5",
-                        help="the backfill the pool check times")
+    parser.add_argument("--method", choices=("direct", "regression"),
+                        default="direct", help="the srr route")
+    parser.add_argument("--pool", choices=("n5", "n4", "spike"),
+                        default="n5", help="the backfill the pool check times")
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
     trees = {name: Path(path).resolve() for name, path in
@@ -176,7 +194,7 @@ def main() -> int:
                      "python": platform.python_version(),
                      "OPENBLAS_NUM_THREADS":
                          os.environ.get("OPENBLAS_NUM_THREADS")},
-            "srr": srr_scaling(trees, args.n, args.pairs, work),
+            "srr": srr_scaling(trees, args.n, args.pairs, args.method, work),
             f"pool_{args.pool}": pool_check(list(trees.values())[-1],
                                             args.pool_runs, work, args.pool)}
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")

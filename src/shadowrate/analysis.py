@@ -40,14 +40,20 @@ class QuantileSummary:
 
 def quantiles(series) -> QuantileSummary:
     """Summarize a series, dropping ``None``/NaN markers. Quantiles use
-    linear interpolation between order statistics (the same convention as
-    ``numpy.quantile``'s default)."""
+    linear interpolation between order statistics, as ``numpy.quantile``
+    does by default, except that an infinite one is taken, not NaN."""
     values = np.array([float(v) for v in series
                        if v is not None and not math.isnan(float(v))])
     if values.size == 0:
         raise ValueError("no values to summarize after dropping markers")
-    q25, q50, q75 = np.quantile(values, [0.25, 0.5, 0.75])
-    return QuantileSummary(count=int(values.size), mean=float(values.mean()),
+    probs = [0.25, 0.5, 0.75]
+    with np.errstate(invalid="ignore"):  # inf - inf, inf * 0
+        mean, q = float(values.mean()), np.quantile(values, probs)
+    # where numpy gives NaN: the order statistic or the infinite one beside it
+    a, b = (np.quantile(values, probs, method=m) for m in ("lower", "higher"))
+    q25, q50, q75 = np.where(~np.isnan(q), q, np.where(
+        (a == b) | np.isfinite(b), a, np.where(np.isfinite(a), b, math.nan)))
+    return QuantileSummary(count=int(values.size), mean=mean,
                            minimum=float(values.min()), p25=float(q25),
                            p50=float(q50), p75=float(q75),
                            maximum=float(values.max()))

@@ -16,7 +16,7 @@ BLAS versions, the BLAS threads and kernel, and the engine's workers.
 
 Every command runs with the BLAS at one thread (restored on return): the
 engine's N x N LAPACK calls are too small to gain from BLAS threads, and at
-one thread the engine spreads its chunks over the CPUs instead.
+one thread the direct route spreads its chunks over the CPUs instead.
 
 Exit codes: 0 success, 1 ingestion errors, 2 pipeline/numerical errors.
 """
@@ -300,16 +300,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # The engine's LAPACK calls are too small for BLAS threads; at one
-        # BLAS thread the engine runs its chunks on a thread pool instead.
-        with blas.one_thread():
+        with blas.one_thread():  # see the module notes
             return args.handler(args)
-    except DataError as exc:
+    except (ValueError, ArithmeticError) as exc:  # DataError included
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, DataError) else 2
 
 
 def entry() -> None:

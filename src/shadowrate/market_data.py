@@ -207,12 +207,12 @@ def _parse_price_cell(text: str, line_no: int, asset_id: str) -> float:
 def _read_wide(path: Path | str, header_rule: str,
                parse_cell: Callable[[str, int, str], float]
                ) -> tuple[list[str], list[DateLabel], np.ndarray]:
-    """Read a ``date,<ids>`` table into its ids, its sorted dates and the
-    matching matrix of ``parse_cell(text, line_no, asset_id)``; a duplicate
+    """Read a ``date,<ids>`` table into its stripped ids, its sorted dates
+    and the matrix of ``parse_cell(text, line_no, asset_id)``; a duplicate
     date or a table without data rows raises :class:`DataError`."""
     rows = _read_table(path, lambda h: h[:1] == ["date"] and len(h) >= 2,
                        header_rule)
-    ids = next(rows)[1:]
+    ids = [asset_id.strip() for asset_id in next(rows)[1:]]
     dated: dict[DateLabel, list[float]] = {}
     for line_no, row in rows:
         label = _parse_date_label(row[0], line_no)

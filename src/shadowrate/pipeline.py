@@ -14,13 +14,10 @@ against theirs. The dates run in chunks, each through three stages:
    levels, one batched re-solve, then the levels of ``[nu, sigma_pi...]``;
    the chunk fills its rows of the run's ``values`` and ``spectra``.
 
-A ``calibrator=`` hook, handed one window per call, and the regression
-route run one date per chunk, serially; that one fact about the route sets
-both the chunk size and the pool. (The regression route would keep its bits
-in full chunks, but the benchmark's peak-RSS reading rises with the rounds
-a faster run fits: ROADMAP items 1 and 8.) A direct-route chunk holds the
-dates whose N x N arrays fit ``CHUNK_BYTES``, and at least two, so from
-N=65 a chunk exceeds that budget (1.2 MB at N=96).
+A ``calibrator=`` hook, handed one window per call, runs one date per
+chunk. Both routes otherwise run chunks of the dates whose N x N arrays fit
+``CHUNK_BYTES``, and at least two, so from N=65 a chunk exceeds that budget
+(1.2 MB at N=96).
 
 Stages 1 and 2 of one chunk need nothing from another, so successive
 direct-route chunks run them on a thread pool, one worker per usable CPU,
@@ -28,9 +25,11 @@ with at most two chunks per worker in flight; the calling thread takes the
 results in date order and runs stage 3. A pooled run holds the BLAS under
 numpy at one thread (``blas.one_thread``), since pool threads on top of a
 multi-thread BLAS made the engine slower, and restores the caller's count
-when it ends, also on an error. A one-date route, a single chunk and a BLAS
-of unknown thread count run the same loop serially, on the calling thread,
-and leave the BLAS alone.
+when it ends, also on an error. The regression route, a hook, a single
+chunk and a BLAS of unknown thread count run the same loop serially, on the
+calling thread, and leave the BLAS alone. The route's per-window ``lstsq``
+holds the GIL, so a pool only slows it, and its bits at N=40 depend on the
+BLAS thread count, which stays the caller's for backfills and updates alike.
 
 Singular dates are masked, not raised: NaN marks their raw fields in
 ``values``, and the regularized path normally still produces values. Each
@@ -204,8 +203,9 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
     d_band = (1.0 - cfg.epsilon, 1.0 + cfg.epsilon)
     x_bands = np.array([cfg.delta_nu] + [cfg.delta_sigma] * (n - 1))
     x_band = (1.0 - x_bands, 1.0 + x_bands)
-    one_date = calibrator is not None or cfg.method == "regression"
-    per_chunk = 1 if one_date else max(2, CHUNK_BYTES // (64 * n * n))
+    direct = calibrator is None and cfg.method == "direct"
+    per_chunk = 1 if calibrator is not None \
+        else max(2, CHUNK_BYTES // (64 * n * n))
     ends = range(first, last + 1, per_chunk)
     values = np.ascontiguousarray(r.values)
 
@@ -214,7 +214,7 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
         mu, phi = chunk_systems(r, values, end, count, cfg, calibrator)
         return (end, count, mu, phi) + factor_and_solve(phi, mu)
 
-    workers = _engine_workers(one_date, len(ends))
+    workers = _engine_workers(direct, len(ends))
     table = np.empty((last + 1 - first, len(ROW_FIELDS) - 1))
     spectra = np.empty((last + 1 - first, n))
 
@@ -251,13 +251,12 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
             pool.shutdown(cancel_futures=True)
 
 
-def _engine_workers(one_date: bool, chunks: int) -> int:
-    """Threads that run stages 1 and 2b: one per usable CPU, up to one per
-    chunk, on the direct route when the BLAS's thread count is known, for
-    the run holds it at one thread; otherwise 1, the serial engine. A
-    one-date route keeps user calibrators on the calling thread, and
-    neither it nor a single chunk asks the BLAS anything."""
-    if one_date or chunks < 2 or blas.threads() is None:
+def _engine_workers(direct: bool, chunks: int) -> int:
+    """Threads that run stages 1 and 2b: for a ``direct`` run without a
+    hook, of two chunks or more, at a known BLAS thread count (the run holds
+    it at one), one per usable CPU, up to one per chunk; otherwise 1, the
+    serial engine. Only a direct run of two chunks or more asks the BLAS."""
+    if not direct or chunks < 2 or blas.threads() is None:
         return 1
     if hasattr(os, "sched_getaffinity"):
         return min(len(os.sched_getaffinity(0)), chunks)

@@ -47,6 +47,32 @@ def test_quantiles_interpolates_between_order_statistics() -> None:
     assert s.p75 == pytest.approx(3.25)
 
 
+def test_quantiles_keep_the_bits_of_numpy_on_finite_data() -> None:
+    rng = np.random.default_rng(6)
+    for size in range(1, 40):
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+        values[::4] = -0.0
+        s = quantiles(values.tolist())
+        expected = np.quantile(values, [0.25, 0.5, 0.75])
+        assert [q.hex() for q in (s.p25, s.p50, s.p75)] == \
+            [float(q).hex() for q in expected]
+        assert s.mean.hex() == float(values.mean()).hex()
+
+
+@pytest.mark.parametrize("series, expected", [
+    ([1.0, math.inf, 2.0], (1.5, 2.0, math.inf)),
+    ([math.inf, 3.0, math.inf, math.inf, 1.0], (3.0, math.inf, math.inf)),
+    ([-math.inf, 1.0, 2.0, 3.0], (-math.inf, 1.5, 2.25)),
+    ([-math.inf, math.inf, math.inf], (math.nan, math.inf, math.inf)),
+])
+def test_quantiles_interpolate_infinite_order_statistics(series,
+                                                         expected) -> None:
+    # numpy's own interpolation gives NaN next to an infinite value
+    s = quantiles(series)
+    np.testing.assert_array_equal((s.p25, s.p50, s.p75), expected)
+    assert (s.minimum, s.maximum) == (min(series), max(series))
+
+
 def test_quantiles_drops_markers() -> None:
     s = quantiles([None, 1.0, float("nan"), 5.0, None])
     assert s.count == 2

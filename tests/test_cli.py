@@ -164,7 +164,7 @@ def test_srr_manifest_pins_every_key(tmp_path, capsys) -> None:
                      # the command runs at one BLAS thread, if it can set it
                      "threads": None if blas.threads() is None else 1,
                      "core": blas.describe()["core"]},
-            # the regression route runs one date per chunk, serially
+            # the regression route runs serially
             "engine_workers": 1,
         },
     }
@@ -403,6 +403,16 @@ def test_stats_summarizes_a_column(tmp_path, capsys) -> None:
 
     assert main(["stats", "--input", str(out), "--column", "bogus"]) == 1
     assert "no column named" in capsys.readouterr().err
+
+
+def test_stats_summarizes_a_column_holding_inf(tmp_path, capsys) -> None:
+    # srr writes inf in kappa_raw at a date whose smallest singular value
+    # is 0
+    out = tmp_path / "rates.csv"
+    out.write_text("date,kappa_raw\n1,1.0\n2,inf\n3,2.0\n")
+    assert main(["stats", "--input", str(out), "--column", "kappa_raw"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == \
+        "kappa_raw,3,inf,1.0,1.5,2.0,inf,inf"
 
 
 @pytest.mark.parametrize("bad_row", ["2000-03-01,1e-4",

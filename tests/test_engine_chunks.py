@@ -1,11 +1,12 @@
 """The chunked engine against the per-window reference loop in ``oracles``:
 rows and spectra agree bit for bit however the dates fall into chunks, on
 degenerate panels too, and the stacked helpers give the bits of the plain
-arithmetic of one system. A direct-route chunk holds at least two dates,
-but for a run's last. The pooled engine gives the serial engine's bits,
-raises a worker's error in date order, keeps a ``calibrator`` on the
-calling thread, and runs at one BLAS thread while restoring the caller's
-count, also when runs overlap; the serial engine leaves the BLAS alone."""
+arithmetic of one system. A chunk holds at least two dates, except a run's
+last chunk and the one-date chunks of a ``calibrator``. The direct route's
+pooled engine gives the serial engine's bits, raises a worker's error in
+date order, keeps a ``calibrator`` on the calling thread, and runs at one
+BLAS thread while restoring the caller's count, also when runs overlap; the
+serial engine, which runs the regression route, leaves the BLAS alone."""
 
 from __future__ import annotations
 
@@ -20,12 +21,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from shadowrate import blas, pipeline
+from shadowrate import blas, cli, pipeline
 from shadowrate.calibration import METHODS, calibrate, sigma_direct
-from shadowrate.market_data import ReturnMatrix
+from shadowrate.market_data import ReturnMatrix, log_returns
 from shadowrate.pipeline import (PipelineConfig, RegularizerStates,
                                  run_srr_series)
 from shadowrate.solver import build_phi, solve_svd, svd_factors
+from shadowrate.synthetic import GbmSpec, simulate_gbm
 
 from oracles import oracle_srr_series
 
@@ -91,11 +93,11 @@ START_CFG = PipelineConfig(window_m=60, epsilon=0.2)
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("dates", [1, 2, 7])
 def test_chunk_boundaries_match_reference(monkeypatch, method, dates) -> None:
-    # a one-date budget still gives the direct route two-date chunks
+    # a one-date budget still gives either route two-date chunks
     cfg = replace(START_CFG, method=method)
     chunks = _dates_per_chunk(monkeypatch, 4, dates)
     run = _engine(START_PANEL, cfg)
-    per_chunk = 1 if method == "regression" else max(2, dates)
+    per_chunk = max(2, dates)
     assert _sizes(chunks) == [per_chunk] * (141 // per_chunk) + \
         ([141 % per_chunk] if 141 % per_chunk else [])
     # the singular start covers several chunks; blank and clamped rates
@@ -253,6 +255,37 @@ def test_library_caller_at_two_blas_threads_gets_the_pool(
     with pytest.raises(ValueError, match="^no window ending at row 65$"):
         _engine(START_PANEL, START_CFG)
     assert blas.threads() == 2
+
+
+def test_regression_backfill_and_updates_give_the_whole_runs_bits(
+        monkeypatch, blas_at_two) -> None:
+    # At N=40, M=1500 the route's per-window lstsq rounds differently at one
+    # and two BLAS threads. Its one-date updates run at the caller's two
+    # threads, so its backfill in several chunks must too: a pool at one
+    # thread would join rows of two different roundings.
+    mu, sigma, s0 = cli._default_parameters(40)
+    prices, _ = simulate_gbm(GbmSpec(mu=mu, sigma=sigma, s0=s0, steps=1516,
+                                     seed=5))
+    panel = log_returns(prices)
+    cfg = PipelineConfig(window_m=1500, method="regression")
+    chunks = _dates_per_chunk(monkeypatch, 40, None)
+    _cpus(monkeypatch, 2)
+    whole = _engine(panel, cfg)
+    chunks.clear()
+    head = _engine(panel, cfg, end_index=1508)
+    assert _sizes(chunks) == [5, 5]
+    runs = [head]
+    for end in range(1509, len(panel.dates)):
+        runs.append(_engine(panel, cfg, start_index=end, end_index=end,
+                            states=runs[-1].states))
+    assert {run.workers for run in runs + [whole]} == {1}
+    assert blas.threads() == 2
+    joined = SimpleNamespace(
+        rows=[row for run in runs for row in run.rows],
+        singular_values=[sv for run in runs for sv in run.singular_values])
+    assert len(joined.rows) == len(whole.rows) > 10
+    assert _bits(joined) == _bits(whole)
+    assert _state_bits(runs[-1].states) == _state_bits(whole.states)
 
 
 def test_overlapping_pooled_runs_restore_the_callers_count(

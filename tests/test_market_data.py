@@ -338,6 +338,19 @@ def test_load_prices_long_duplicate_pair(tmp_path) -> None:
         load_prices(path, layout="long")
 
 
+@pytest.mark.parametrize("read", [load_prices, read_return_panel])
+def test_wide_header_ids_are_stripped(tmp_path, read) -> None:
+    # as in the long layout: ' A' names asset A, so a blank id and a pair
+    # that differs only by spaces are rejected
+    path = tmp_path / "p.csv"
+    path.write_text("date,A , B\n1,1.0,2.0\n2,1.5,2.5\n")
+    assert read(path).asset_ids == ("A", "B")
+    for header in ("date,A, ", "date, A,A"):
+        path.write_text(f"{header}\n1,1.0,2.0\n2,1.5,2.5\n")
+        with pytest.raises(DataError, match="duplicate or empty asset ids"):
+            read(path)
+
+
 def test_load_prices_missing_file(tmp_path) -> None:
     with pytest.raises(DataError, match="no such file"):
         load_prices(tmp_path / "absent.csv")
