@@ -147,6 +147,8 @@ def _default_parameters(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     n = args.n
+    if n < 2:  # the default parameters need it too
+        raise ValueError(f"need at least 2 assets, got {n}")
     mu, sigma, s0 = _default_parameters(n)
     if args.mu is not None:
         mu = _parse_floats(args.mu, "--mu", n)

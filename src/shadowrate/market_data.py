@@ -195,13 +195,12 @@ def _write_table(path: Path | str, header, dates, values: np.ndarray) -> None:
 def _parse_price_cell(text: str, line_no: int, asset_id: str) -> float:
     try:
         value = float(text)
+        if math.isfinite(value) and value > 0.0:
+            return value
+        kind = "non-positive price"
     except ValueError:
-        raise DataError(f"line {line_no}: non-numeric price {text!r} "
-                        f"for asset {asset_id!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise DataError(f"line {line_no}: non-positive price {text!r} "
-                        f"for asset {asset_id!r}")
-    return value
+        kind = "non-numeric price"
+    raise DataError(f"line {line_no}: {kind} {text!r} for asset {asset_id!r}")
 
 
 def _read_wide(path: Path | str, header_rule: str,
@@ -300,10 +299,13 @@ def load_universe(path: Path | str) -> list[UniverseEntry]:
 
 def _parse_return_cell(text: str, line_no: int, asset_id: str) -> float:
     try:
-        return float(text)
+        value = float(text)
+        if math.isfinite(value):
+            return value
+        kind = "non-finite return cell"
     except ValueError:
-        raise DataError(f"line {line_no}: non-numeric return cell {text!r} "
-                        f"for asset {asset_id!r}") from None
+        kind = "non-numeric return cell"
+    raise DataError(f"line {line_no}: {kind} {text!r} for asset {asset_id!r}")
 
 
 def read_return_panel(path: Path | str) -> ReturnMatrix:

@@ -12,7 +12,8 @@ against theirs. The dates run in chunks, each through three stages:
    included), the loadings and phi, one stacked SVD and the raw solves;
 3. clamp recursion, the only stage that steps date by date: the spectrum
    levels, one batched re-solve, then the levels of ``[nu, sigma_pi...]``;
-   the chunk fills its rows of the run's ``values`` and ``spectra``.
+   the chunk fills its rows of the run's ``values`` and ``spectra``. Both
+   clamp passes step lists of floats through ``band_steps``, not numpy.
 
 A ``calibrator=`` hook, handed one window per call, runs one date per
 chunk. Both routes otherwise run chunks of the dates whose N x N arrays fit
@@ -59,7 +60,7 @@ from .calibration import (METHODS, CalibratedModel, calibrate,  # noqa: F401
                           calibrate_windows)
 from .market_data import DataError, DateLabel, ReturnMatrix, window, \
     _write_table
-from .regularization import (MODES, band_step, clamp,  # noqa: F401
+from .regularization import (MODES, band_steps, clamp,  # noqa: F401
                              regularize_singulars, spectrum_indices)
 from .solver import (assemble_phi, build_phi, norms, project,  # noqa: F401
                      residual_norms, singular, solve_svd, svd_factors,
@@ -201,8 +202,8 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
     levels = _carried_levels(states, n)
     clamped = spectrum_indices(cfg.resolved_svd_mode())
     d_band = (1.0 - cfg.epsilon, 1.0 + cfg.epsilon)
-    x_bands = np.array([cfg.delta_nu] + [cfg.delta_sigma] * (n - 1))
-    x_band = (1.0 - x_bands, 1.0 + x_bands)
+    x_bands = [cfg.delta_nu] + [cfg.delta_sigma] * (n - 1)
+    x_band = ([1.0 - b for b in x_bands], [1.0 + b for b in x_bands])
     direct = calibrator is None and cfg.method == "direct"
     per_chunk = 1 if calibrator is not None \
         else max(2, CHUNK_BYTES // (64 * n * n))
@@ -227,7 +228,7 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
                 d[:, clamped], d_levels[clamped], d_band, range(count))
             eps_ok, x_eps, residual = resolve(phi, mu, u_mu, d_bar, v)
             hat, x_levels = clamp_levels(x_eps, x_levels, x_band,
-                                         np.flatnonzero(eps_ok).tolist())
+                                         eps_ok.nonzero()[0].tolist())
             at = slice(end - first, end - first + count)
             spectra[at] = d
             _fill(table[at], d, d_bar, x_raw, x_eps, hat, residual)
@@ -286,10 +287,8 @@ def _carried_levels(states: RegularizerStates | None,
     if (np.shape(states.d_levels) != (n,)
             or np.shape(states.sigma_levels) != (n - 1,)):
         raise ValueError("clamp states do not match the panel's asset count")
-    levels = np.empty(2 * n)
-    levels[:n] = states.d_levels
-    levels[n] = states.nu_level
-    levels[n + 1:] = states.sigma_levels
+    levels = np.concatenate([states.d_levels, [states.nu_level],
+                             states.sigma_levels], dtype=np.float64)
     if not (np.isfinite(levels).all() and levels[:n].min() >= 0.0):
         raise ValueError(f"previous level must be finite, and a spectrum "
                          f"level not negative; got {states!r}")
@@ -346,13 +345,14 @@ def clamp_levels(raw: np.ndarray, levels: np.ndarray, band: tuple,
                  dates) -> tuple[np.ndarray, np.ndarray]:
     """Stages 3a and 3c: step ``levels`` through the rows ``dates`` of
     ``raw`` in order, each row clamped to the band ``(down, up)`` around
-    the levels before it. Returns ``raw`` with those rows clamped and the
-    final levels."""
-    out = raw.copy()
-    for j in dates:
-        levels = band_step(levels, raw[j], *band)
-        out[j] = levels
-    return out, levels
+    the levels before it (``band_steps``). Returns ``raw`` with those rows
+    clamped and the final levels."""
+    rows = raw.tolist()
+    for j, row in zip(dates, band_steps(levels.tolist(),
+                                        [rows[j] for j in dates], *band)):
+        rows[j] = row
+    out = np.array(rows)
+    return out, out[dates[-1]] if dates else levels
 
 
 def _fill(out: np.ndarray, d, d_bar, x_raw, x_eps, hat, residual) -> None:

@@ -15,9 +15,11 @@ value through and re-seeds the recursion. With ``epsilon < 1`` a nonzero
 level keeps its sign whatever the raw values do; a band ``epsilon >= 1``
 reaches zero or beyond, so the level can cross zero.
 
-The same primitive serves two roles: clamping the smallest singular
-value(s) of the per-date pricing matrix, and secondary smoothing of the
-solved rate and volatility components.
+``band_steps`` is that rule in plain Python floats, for every clamp: the
+smallest singular value(s) of each date's pricing matrix, and the solved
+rate and volatility components. A NaN raw value passes through, and signed
+zeros come out as in numpy's ``where(previous == 0, raw, minimum(maximum(
+raw, minimum(lo, hi)), maximum(lo, hi)))``, bit for bit for finite levels.
 """
 
 from __future__ import annotations
@@ -53,36 +55,43 @@ def clamp(state: ClampState, raw) -> tuple[float | np.ndarray, ClampState]:
     """One recursion step; returns (clamped value, advanced state).
 
     ``raw`` is one level, or an array shaped like ``state.previous`` whose
-    entries are clamped independently in one ``band_step``; a scalar
+    entries are clamped independently in one ``band_steps`` row; a scalar
     ``raw`` gives a float.
     """
     values = np.asarray(raw, dtype=np.float64)
     if not np.isfinite(values).all():
         raise ValueError(f"raw values must be finite, got {raw!r}")
-    previous = state.previous
-    if previous is None:
-        clamped = values.copy()
-    elif np.shape(previous) != values.shape:
+    previous = np.zeros(values.shape) if state.previous is None \
+        else state.previous
+    if np.shape(previous) != values.shape:
         raise ValueError(f"{np.shape(previous)} previous levels for raw "
                          f"values of shape {values.shape}")
-    else:
-        clamped = band_step(previous, values, 1.0 - state.epsilon,
-                            1.0 + state.epsilon)
-    if clamped.ndim == 0:
-        clamped = float(clamped)
+    clamped = np.reshape(band_steps(
+        np.ravel(previous).tolist(), [values.ravel().tolist()],
+        1.0 - state.epsilon, 1.0 + state.epsilon), values.shape)
+    clamped = float(clamped) if clamped.ndim == 0 else clamped
     return clamped, ClampState(state.epsilon, clamped)
 
 
-def band_step(previous: np.ndarray, raw: np.ndarray, down, up) -> np.ndarray:
-    """One step of independent levels: each raw value clipped to the band
-    between ``previous * down`` and ``previous * up`` (``down = 1 - epsilon``
-    and ``up = 1 + epsilon``, per level or shared); a zero level passes its
-    raw value through."""
-    lo = previous * down
-    hi = previous * up
-    return np.where(previous == 0.0, raw,
-                    np.minimum(np.maximum(raw, np.minimum(lo, hi)),
-                               np.maximum(lo, hi)))
+def band_steps(levels: list, rows, down, up) -> list[list[float]]:
+    """Step ``levels`` through ``rows`` of raw values in order, with bands
+    ``down = 1 - epsilon`` and ``up = 1 + epsilon`` (one float for every
+    level, or one per level); returns the levels after each row."""
+    down = [down] * len(levels) if isinstance(down, float) else down
+    up = [up] * len(levels) if isinstance(up, float) else up
+    steps = []
+    for row in rows:
+        stepped = []
+        for p, r, a, b in zip(levels, row, down, up):
+            if p != 0.0:
+                lo, hi = p * a, p * b
+                if p < 0.0:  # a negative level flips the edges
+                    lo, hi = hi, lo
+                r = lo if r <= lo else hi if r >= hi else r
+            stepped.append(r)
+        steps.append(stepped)
+        levels = stepped
+    return steps
 
 
 def spectrum_indices(mode: str) -> slice:
@@ -112,8 +121,9 @@ def regularize_singulars(d: np.ndarray, state: ClampState,
     if levels.shape != d.shape:
         raise ValueError(f"clamp states of shape {levels.shape} for a "
                          f"spectrum of {d.size} values")
-    levels[clamped] = band_step(levels[clamped], d[clamped],
-                                1.0 - state.epsilon, 1.0 + state.epsilon)
+    levels[clamped] = band_steps(levels[clamped].tolist(),
+                                 [d[clamped].tolist()], 1.0 - state.epsilon,
+                                 1.0 + state.epsilon)[0]
     d_bar = d.copy()
     d_bar[clamped] = levels[clamped]
     return d_bar, ClampState(state.epsilon, levels)

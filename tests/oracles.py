@@ -11,6 +11,10 @@ through the checked PCA path with its component scores, and every clamped
 level steps through its own scalar ``ScalarClampState`` via
 ``dataclasses.replace``. The library engine must reproduce its rows and
 spectra bit for bit.
+
+``band_step`` is the clamp rule in numpy, one step of every level at once;
+``band_steps`` and ``clamp_levels`` in the library must match it bit for
+bit while the levels are finite.
 """
 
 from __future__ import annotations
@@ -103,8 +107,30 @@ def srr_two_asset(mu1: float, mu2: float, sigma1: float,
 
 
 # ---------------------------------------------------------------------------
-# scalar clamp
+# clamp: the numpy band step and the scalar clamp
 # ---------------------------------------------------------------------------
+
+def band_step(previous: np.ndarray, raw: np.ndarray, down, up) -> np.ndarray:
+    """One step of independent levels in numpy: each raw value clipped to
+    the band between ``previous * down`` and ``previous * up`` (per level
+    or shared); a zero level passes its raw value through. This is the
+    element-wise form of ``regularization.band_steps``."""
+    lo = previous * down
+    hi = previous * up
+    return np.where(previous == 0.0, raw,
+                    np.minimum(np.maximum(raw, np.minimum(lo, hi)),
+                               np.maximum(lo, hi)))
+
+
+def band_step_loop(raw: np.ndarray, levels: np.ndarray, band: tuple,
+                   dates) -> tuple[np.ndarray, np.ndarray]:
+    """``pipeline.clamp_levels`` as it was: one ``band_step`` per date."""
+    out = raw.copy()
+    for j in dates:
+        levels = band_step(levels, raw[j], *band)
+        out[j] = levels
+    return out, levels
+
 
 @dataclass(frozen=True)
 class ScalarClampState:

@@ -79,6 +79,16 @@ def test_simulate_explicit_parameters_round_trip(tmp_path, capsys) -> None:
     assert lines[1].split(",")[1:] == ["50.0", "60.0", "70.0"]
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_simulate_rejects_fewer_than_two_assets(tmp_path, capsys, n) -> None:
+    out = tmp_path / "few.csv"
+    assert main(["simulate", "--n", str(n), "--steps", "10", "--seed", "1",
+                 "--out", str(out)]) == 2
+    assert f"error: need at least 2 assets, got {n}\n" == \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_malformed_parameters(tmp_path, capsys) -> None:
     out = tmp_path / "bad.csv"
     assert main(["simulate", "--steps", "10", "--seed", "1",
@@ -472,6 +482,18 @@ def test_min_rate_rejects_an_empty_asset_id(tmp_path, capsys) -> None:
     assert main(["min-rate", "--returns", str(returns)]) == 1
     assert capsys.readouterr().err == ("error: duplicate or empty asset ids "
                                        "in return panel\n")
+
+
+def test_min_rate_names_a_non_finite_return_cell(tmp_path, capsys) -> None:
+    cells = 0.01 * np.random.default_rng(17).standard_normal((40, 3))
+    cells[30, 1] = np.nan
+    returns = tmp_path / "returns.csv"
+    returns.write_text("date,A1,A2,A3\n" + "".join(
+        f"{m},{','.join(map(repr, row))}\n"
+        for m, row in enumerate(cells.tolist())))
+    assert main(["min-rate", "--returns", str(returns)]) == 1
+    assert capsys.readouterr().err == ("error: line 32: non-finite return "
+                                       "cell 'nan' for asset 'A2'\n")
 
 
 def test_min_rate_requires_exactly_one_input(tmp_path) -> None:

@@ -368,6 +368,15 @@ def test_return_panel_round_trip(tmp_path) -> None:
     np.testing.assert_array_equal(loaded.values, panel.values)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_return_panel_names_a_non_finite_cell(tmp_path, cell) -> None:
+    path = tmp_path / "r.csv"
+    path.write_text(f"date,A,B\n1,0.01,0.02\n2,0.03,0.04\n3,0.05,{cell}\n")
+    with pytest.raises(DataError, match=f"line 4: non-finite return cell "
+                                        f"'{cell}' for asset 'B'"):
+        read_return_panel(path)
+
+
 # ---------------------------------------------------------------------------
 # window
 # ---------------------------------------------------------------------------

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowrate.pipeline import clamp_levels
-from shadowrate.regularization import ClampState, clamp, regularize_singulars
+from shadowrate.regularization import (ClampState, band_steps, clamp,
+                                       regularize_singulars)
 
-from oracles import (ScalarClampState, scalar_clamp,
-                     scalar_regularize_singulars)
+from oracles import (ScalarClampState, band_step, band_step_loop,
+                     scalar_clamp, scalar_regularize_singulars)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -236,3 +239,62 @@ def test_fold_split_is_bit_exact() -> None:
         value, state = clamp(state, float(v))
         second.append(value)
     assert first + second == whole
+
+
+# levels and raw values at the edges of the rule: signed zeros (a zero level
+# is unseeded), subnormals, and raw infinities and NaN
+edge_levels = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                               2.2250738585072014e-308])
+edge_raws = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf,
+                             math.nan])
+# bands below 1 keep a level's sign; 1 exactly reaches zero, above 1 crosses
+epsilons = st.one_of(st.floats(min_value=1e-6, max_value=0.5), st.just(1.0),
+                     st.floats(min_value=1.0, max_value=4.0))
+
+
+@settings(max_examples=400)
+@given(n=st.integers(min_value=1, max_value=6), data=st.data(),
+       shared=st.booleans())
+def test_band_steps_equal_the_numpy_band_step(n, data, shared) -> None:
+    # a walk of finite rows, then a last row that may hold infinities or
+    # NaN, steps bit for bit as the numpy rule, row after row
+    start = data.draw(st.lists(st.one_of(finite, edge_levels), min_size=n,
+                               max_size=n))
+    row = st.lists(st.one_of(finite, edge_levels), min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=0, max_size=6))
+    rows.append(data.draw(st.lists(st.one_of(finite, edge_raws), min_size=n,
+                                   max_size=n)))
+    if shared:
+        eps = data.draw(epsilons)
+        down, up = 1.0 - eps, 1.0 + eps
+        bands = (down, up)
+    else:
+        eps = np.array(data.draw(st.lists(epsilons, min_size=n, max_size=n)))
+        down, up = (1.0 - eps).tolist(), (1.0 + eps).tolist()
+        bands = (1.0 - eps, 1.0 + eps)
+    steps = band_steps(start, rows, down, up)
+    levels = np.array(start)
+    assert len(steps) == len(rows)
+    for stepped, raw in zip(steps, rows):
+        levels = band_step(levels, np.array(raw), *bands)
+        assert np.array(stepped).tobytes() == levels.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 4, 5, 40])
+def test_clamp_levels_equal_the_numpy_loop_on_a_long_walk(width) -> None:
+    # 3,000 dates of a random walk that crosses zero, with the engine's
+    # per-level bands, from unseeded and from seeded levels, on every date
+    # and on a subset of them as in the rate clamp
+    rng = np.random.default_rng(width)
+    raw = np.cumsum(rng.standard_normal((3000, width)), axis=0) * 1e-3
+    raw[rng.random(raw.shape) < 0.01] = 0.0
+    bands = np.array([1e-5] + [1e-3] * (width - 1))
+    band = (1.0 - bands, 1.0 + bands)
+    subset = np.flatnonzero(rng.random(3000) < 0.9).tolist()
+    for start in (np.zeros(width), raw[0] * 1.5):
+        for dates in (range(3000), subset):
+            for per_level in (band, tuple(b.tolist() for b in band)):
+                out, levels = clamp_levels(raw, start, per_level, dates)
+                expected, final = band_step_loop(raw, start, band, dates)
+                assert out.tobytes() == expected.tobytes()
+                assert levels.tobytes() == final.tobytes()
