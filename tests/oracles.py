@@ -124,7 +124,8 @@ def band_step(previous: np.ndarray, raw: np.ndarray, down, up) -> np.ndarray:
 
 def band_step_loop(raw: np.ndarray, levels: np.ndarray, band: tuple,
                    dates) -> tuple[np.ndarray, np.ndarray]:
-    """``pipeline.clamp_levels`` as it was: one ``band_step`` per date."""
+    """The numpy form of ``pipeline.clamp_levels``: one ``band_step`` per
+    date of ``dates``, in order."""
     out = raw.copy()
     for j in dates:
         levels = band_step(levels, raw[j], *band)
