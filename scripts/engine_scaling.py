@@ -4,10 +4,11 @@ and time the library's pooled engine against its serial one.
     python scripts/engine_scaling.py --tree parent=/path/to/parent \\
         --tree change=. --out scaling.json
 
-For each N of ``--n`` the first tree's ``simulate --n N --steps 2901
---seed 5`` makes one price file. Each tree then runs ``srr --window 2500
---method METHOD`` (401 dates; ``--method``, ``direct`` by default) on it in
-its own process, ``--pairs`` times, alternating which tree runs first.
+For each N of ``--n`` the first tree's ``simulate --n N --steps W+401
+--seed 5`` makes one price file. Each tree then runs ``srr --window W
+--method METHOD`` (401 dates; ``--window`` W, 2500 by default, and
+``--method``, ``direct`` by default) on it in its own process, ``--pairs``
+times, alternating which tree runs first.
 Every run records its wall time, the engine workers from the manifest and
 the SHA-256 of both output CSVs, so the trees' bytes can be compared.
 
@@ -91,20 +92,20 @@ def _summary(values: list[float]) -> dict:
 
 
 def srr_scaling(trees: dict[str, Path], sizes: list[int], pairs: int,
-                method: str, work: Path) -> dict:
+                method: str, window: int, work: Path) -> dict:
     names = list(trees)
     out: dict = {}
     for n in sizes:
         prices = work / f"prices-{n}.csv"
-        _cli(trees[names[0]], "simulate", "--n", str(n), "--steps", "2901",
-             "--seed", "5", "--out", str(prices))
+        _cli(trees[names[0]], "simulate", "--n", str(n), "--steps",
+             str(window + 401), "--seed", "5", "--out", str(prices))
         runs: dict = {name: [] for name in names}
         for pair in range(pairs):
             order = names if pair % 2 == 0 else names[::-1]
             for name in order:
                 rates = work / f"rates-{n}-{name}.csv"
                 wall = _cli(trees[name], "srr", "--prices", str(prices),
-                            "--window", "2500", "--method", method,
+                            "--window", str(window), "--method", method,
                             "--out", str(rates))
                 manifest = json.loads(
                     rates.with_suffix(".manifest.json").read_text())
@@ -180,6 +181,8 @@ def main() -> int:
     parser.add_argument("--pool-runs", type=int, default=16)
     parser.add_argument("--method", choices=("direct", "regression"),
                         default="direct", help="the srr route")
+    parser.add_argument("--window", type=int, default=2500,
+                        help="the srr window; the input has 401 dates")
     parser.add_argument("--pool", choices=("n5", "n4", "spike"),
                         default="n5", help="the backfill the pool check times")
     parser.add_argument("--out", required=True)
@@ -194,7 +197,9 @@ def main() -> int:
                      "python": platform.python_version(),
                      "OPENBLAS_NUM_THREADS":
                          os.environ.get("OPENBLAS_NUM_THREADS")},
-            "srr": srr_scaling(trees, args.n, args.pairs, args.method, work),
+            "srr_args": {"method": args.method, "window": args.window},
+            "srr": srr_scaling(trees, args.n, args.pairs, args.method,
+                               args.window, work),
             f"pool_{args.pool}": pool_check(list(trees.values())[-1],
                                             args.pool_runs, work, args.pool)}
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")

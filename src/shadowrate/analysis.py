@@ -122,6 +122,9 @@ def min_rate(p: PcaResult, mean_returns: np.ndarray, k0: int,
         raise ValueError(f"k0={k0} must be below the asset count {n}")
     if k0 < 2:
         raise ValueError(f"k0={k0} must be at least 2")
+    for name, tol in (("tol_sigma", tol_sigma), ("tol_r", tol_r)):
+        if math.isnan(tol):  # x > nan is false: no block would breach
+            raise ValueError(f"{name} must not be NaN")
     if np.any(lambdas[:k0] <= 0.0):
         raise ValueError(f"zero-variance composite inside the base block "
                          f"of {k0}")

@@ -10,6 +10,11 @@ principal direction is dropped.
 
 Both divide by M-1, so in exact arithmetic the two coincide; on real panels
 they differ through rounding, so both are kept as distinct code paths.
+
+The regression route fits a chunk's windows in blocks, one call per block
+of ``numpy.linalg._umath_linalg.lstsq``, the private ``gelsd`` gufunc behind
+``np.linalg.lstsq`` (checked on numpy 2.4.6). Two threads running that call
+are no faster than one, so the route runs serially.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .market_data import DateLabel, ReturnMatrix
 # center_columns and pca are not called here but stay importable from this
@@ -24,6 +30,10 @@ from .market_data import DateLabel, ReturnMatrix
 from .pca import center_columns, covariance, eigenpairs, pca  # noqa: F401
 
 METHODS = ("direct", "regression")
+
+# Working set of a chunk of dates or a block of regression windows: eight
+# float64 arrays (64 bytes) per entry of a date's N x N or a window's M x N.
+CHUNK_BYTES = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -37,26 +47,17 @@ class CalibratedModel:
     window_end_date: DateLabel
 
 
-def window_moments(values: np.ndarray, end: int, count: int,
-                   m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column means (K, N) and sample covariances (K, N, N) of the K =
-    ``count`` trailing windows of ``m`` rows that end at rows ``end`` ..
-    ``end + count - 1`` of the C-ordered panel ``values``.
-
-    The means of all K windows come from one strided sum, which adds the
-    rows in the same order as ``window.mean(axis=0)``; each covariance is
-    formed from its own centred window.
+def window_means(values: np.ndarray, end: int, count: int,
+                 m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column means (K, N) of the K = ``count`` trailing windows of ``m``
+    rows that end at rows ``end`` .. ``end + count - 1`` of the C-ordered
+    panel ``values``, from one strided sum that adds the rows in the same
+    order as ``window.mean(axis=0)``, and the windows as a (K, M, N) view.
     """
     row, col = values.strides
-    n = values.shape[1]
-    start = end - m + 1
-    stacked = np.ndarray((m, count, n), np.float64, values, start * row,
-                         (row, row, col))
-    means = stacked.sum(axis=0) / m
-    cov = np.empty((count, n, n))
-    for j in range(count):
-        cov[j] = covariance(values[start + j:end + j + 1] - means[j])
-    return means, cov
+    windows = np.ndarray((count, m, values.shape[1]), np.float64, values,
+                         (end - m + 1) * row, (row, row, col))
+    return windows.swapaxes(0, 1).sum(axis=0) / m, windows
 
 
 def sigma_direct(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -70,24 +71,33 @@ def sigma_direct(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
 def sigma_regression(x0: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Loadings as no-intercept OLS coefficients of the column-centred window
     ``x0`` on its standardized leading N-1 component scores ``x0 @ w``
-    (eigenvector columns ``w``, eigenvalues descending).
+    (eigenvector columns ``w``, eigenvalues descending). Stacks (K, M, N)
+    and (K, N, N) give (K, N, N-1), each window with the bits of its own
+    ``np.linalg.lstsq``.
 
     Component columns with zero variance carry no signal and receive zero
     loadings (the degenerate-window case).
     """
-    m, n = x0.shape
+    m, n = x0.shape[-2:]
     if n < 2:
         raise ValueError(f"need at least 2 assets, got {n}")
-    scores = (x0 @ w)[:, :n - 1]
-    centered = scores - scores.mean(axis=0)
-    variances = (centered * centered).sum(axis=0) / (m - 1)
+    scores = (x0 @ w)[..., :n - 1]
+    centered = scores - scores.mean(axis=-2, keepdims=True)
+    variances = (centered * centered).sum(axis=-2, keepdims=True) / (m - 1)
     live = variances > 0.0
-    standardized = np.zeros_like(centered)
-    standardized[:, live] = centered[:, live] / np.sqrt(variances[live])
+    standardized = np.divide(centered, np.sqrt(variances), where=live,
+                             out=np.zeros_like(centered))
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        coef = _umath_linalg.lstsq(standardized, x0,
+                                   np.finfo(np.float64).eps * max(m, n - 1),
+                                   signature="ddd->ddid")[0]
+    coef[~live[..., 0, :]] = 0.0
+    return coef.swapaxes(-1, -2)
 
-    coef, *_ = np.linalg.lstsq(standardized, x0, rcond=None)
-    coef[~live, :] = 0.0
-    return coef.T
+
+def _lstsq_failed(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def calibrate_windows(values: np.ndarray, end: int, count: int, m: int,
@@ -96,16 +106,19 @@ def calibrate_windows(values: np.ndarray, end: int, count: int, m: int,
     of ``m`` rows ending at rows ``end`` .. ``end + count - 1`` of the
     C-ordered, finite panel ``values``: the window moments, one stacked
     eigendecomposition, then the loadings of ``method``. The regression
-    route fits each window's scores in turn."""
-    means, cov = window_moments(values, end, count, m)
-    lam, w = eigenpairs(cov)
+    route takes those steps once per block of windows."""
+    means, windows = window_means(values, end, count, m)
     if method == "direct":
-        sigma = sigma_direct(lam, w)
+        cov = np.array([covariance(x - mu) for x, mu in zip(windows, means)])
+        sigma = sigma_direct(*eigenpairs(cov))
     else:
-        sigma = np.empty(w.shape[:2] + (w.shape[2] - 1,))
-        for j in range(count):
-            x0 = values[end + j - m + 1:end + j + 1] - means[j]
-            sigma[j] = sigma_regression(x0, w[j])
+        n = values.shape[1]
+        sigma = np.empty((count, n, n - 1))
+        block = max(1, CHUNK_BYTES // (64 * m * n))
+        for j in range(0, count, block):
+            x0 = windows[j:j + block] - means[j:j + block, None]
+            sigma[j:j + block] = sigma_regression(
+                x0, eigenpairs(covariance(x0))[1])
     if not np.isfinite(sigma).all():
         raise ValueError("calibration produced non-finite loadings")
     return means, sigma

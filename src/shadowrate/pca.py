@@ -41,8 +41,9 @@ def center_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def covariance(x0: np.ndarray) -> np.ndarray:
-    """Sample covariance ``x0' x0 / (M - 1)`` of a centered M x N panel."""
-    return (x0.T @ x0) / (x0.shape[0] - 1)
+    """Sample covariance ``x0' x0 / (M - 1)`` of a centered M x N panel, or
+    of each panel of a (K, M, N) stack."""
+    return (x0.swapaxes(-1, -2) @ x0) / (x0.shape[-2] - 1)
 
 
 def eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

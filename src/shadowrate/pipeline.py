@@ -7,7 +7,8 @@ history, and clamps the solved rate and deflator-volatility components
 against theirs. The dates run in chunks, each through three stages:
 
 1. window moments: all the chunk's window means from one strided sum, and
-   each window's covariance;
+   each window's covariance (on the regression route, each block's, with
+   its ``eigh`` and loadings; see ``calibration``);
 2. stacked factor and solve: one ``eigh`` (sign convention and clip
    included), the loadings and phi, one stacked SVD and the raw solves;
 3. clamp recursion, the only stage that steps date by date: the spectrum
@@ -28,8 +29,8 @@ numpy at one thread (``blas.one_thread``), since pool threads on top of a
 multi-thread BLAS made the engine slower, and restores the caller's count
 when it ends, also on an error. The regression route, a hook, a single
 chunk and a BLAS of unknown thread count run the same loop serially, on the
-calling thread, and leave the BLAS alone. The route's per-window ``lstsq``
-holds the GIL, so a pool only slows it, and its bits at N=40 depend on the
+calling thread, and leave the BLAS alone. At one BLAS thread a pool gains
+the route nothing (see ``calibration``), and its bits at N=40 depend on the
 BLAS thread count, which stays the caller's for backfills and updates alike.
 
 Singular dates are masked, not raised: NaN marks their raw fields in
@@ -56,8 +57,8 @@ from . import blas
 # calibrate, clamp, regularize_singulars and solve_svd are the one-date forms
 # of the stages below; they stay importable here, where benchmark/spans.py
 # wraps them by name.
-from .calibration import (METHODS, CalibratedModel, calibrate,  # noqa: F401
-                          calibrate_windows)
+from .calibration import (CHUNK_BYTES, METHODS, CalibratedModel,  # noqa: F401
+                          calibrate, calibrate_windows)
 from .market_data import DataError, DateLabel, ReturnMatrix, window, \
     _write_table
 from .regularization import (MODES, band_steps, clamp,  # noqa: F401
@@ -67,10 +68,6 @@ from .solver import (assemble_phi, build_phi, norms, project,  # noqa: F401
                      svd_solve)
 
 Calibrator = Callable[[ReturnMatrix], CalibratedModel]
-
-# Working set of one direct-route chunk: 64 N^2 bytes (eight N x N float64
-# arrays) per date; a chunk's two-date minimum exceeds it from N=65.
-CHUNK_BYTES = 2 ** 19
 
 
 @dataclass(frozen=True)

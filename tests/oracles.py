@@ -12,6 +12,10 @@ level steps through its own scalar ``ScalarClampState`` via
 ``dataclasses.replace``. The library engine must reproduce its rows and
 spectra bit for bit.
 
+``sigma_regression`` is the regression route's loadings of one window,
+fitted with ``np.linalg.lstsq``; the library's stacked form must match it
+bit for bit, window by window.
+
 ``band_step`` is the clamp rule in numpy, one step of every level at once;
 ``band_steps`` and ``clamp_levels`` in the library must match it bit for
 bit while the levels are finite.
@@ -26,8 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from shadowrate.calibration import (METHODS, CalibratedModel, sigma_direct,
-                                    sigma_regression)
+from shadowrate.calibration import METHODS, CalibratedModel, sigma_direct
 from shadowrate.market_data import DataError, ReturnMatrix
 from shadowrate.pca import PcaResult
 from shadowrate.pipeline import PipelineConfig, SrrSeriesRow
@@ -158,7 +161,9 @@ def scalar_clamp(state: ScalarClampState,
     hi = previous * (1.0 + state.epsilon)
     if lo > hi:  # negative previous level flips the edges
         lo, hi = hi, lo
-    clamped = min(max(raw, lo), hi)
+    # min and max return their first argument on a tie, so a raw value equal
+    # to an edge takes the edge, zero sign included, as the rule does
+    clamped = min(hi, max(lo, raw))
     return clamped, replace(state, previous=clamped)
 
 
@@ -209,6 +214,21 @@ def checked_pca(x0: np.ndarray, column_means: np.ndarray) -> PcaResult:
         if w[k, j] < 0.0:
             w[:, j] = -w[:, j]
     return PcaResult(lam, w, x0 @ w, np.asarray(column_means, dtype=np.float64))
+
+
+def sigma_regression(x0: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """No-intercept OLS of the centred window ``x0`` on its standardized
+    leading N-1 component scores; zero-variance columns get zero rows."""
+    m, n = x0.shape
+    scores = (x0 @ w)[:, :n - 1]
+    centered = scores - scores.mean(axis=0)
+    variances = (centered * centered).sum(axis=0) / (m - 1)
+    live = variances > 0.0
+    standardized = np.zeros_like(centered)
+    standardized[:, live] = centered[:, live] / np.sqrt(variances[live])
+    coef, *_ = np.linalg.lstsq(standardized, x0, rcond=None)
+    coef[~live, :] = 0.0
+    return coef.T
 
 
 def checked_calibrate(r: ReturnMatrix,

@@ -194,6 +194,25 @@ def test_min_rate_validation() -> None:
         min_rate(bad, mu, k0=2)
 
 
+@pytest.mark.parametrize("name", ["tol_sigma", "tol_r"])
+def test_min_rate_rejects_a_nan_tolerance(name) -> None:
+    # every comparison with NaN is false, so a NaN tolerance would never
+    # breach and the walk would run on past the block that breaches
+    p = _spectrum([4.0, 1.0, 0.25])
+    with pytest.raises(ValueError, match=f"^{name} must not be NaN$"):
+        min_rate(p, np.array([0.01, 0.01, 0.05]), k0=2, **{name: math.nan})
+
+
+def test_min_rate_accepts_infinite_and_negative_tolerances() -> None:
+    p = _spectrum([4.0, 1.0, 0.25])
+    mu = np.array([0.01, 0.01, 0.05])
+    never = min_rate(p, mu, k0=2, tol_sigma=math.inf, tol_r=math.inf)
+    assert (never.stop_reason, never.j_star) == ("exhausted", 3)
+    always = min_rate(p, np.array([0.05, 0.01, 0.001]), k0=2,
+                      tol_sigma=-math.inf, tol_r=-1.0)
+    assert (always.stop_reason, always.j_star) == ("tolerance-breach", 3)
+
+
 # ---------------------------------------------------------------------------
 # full-universe simplex solver
 # ---------------------------------------------------------------------------

@@ -1,16 +1,24 @@
-"""Calibration tests: direct loadings, the regression route, and agreement."""
+"""Calibration tests: direct loadings, the regression route, and agreement.
+The regression route's stacked loadings match the per-window reference in
+``oracles`` bit for bit, in blocks of any size."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
+from shadowrate import calibration
 from shadowrate.calibration import (CalibratedModel, calibrate,
                                     calibrate_windows, sigma_direct,
                                     sigma_regression)
 from shadowrate.market_data import ReturnMatrix
 from shadowrate.pca import PcaResult, center_columns, pca
 from shadowrate.synthetic import GbmSpec, simulate_gbm
+
+import oracles
 
 
 def _panel(values: np.ndarray) -> ReturnMatrix:
@@ -118,8 +126,8 @@ def test_calibrated_model_shape_for_n_assets() -> None:
 
 
 def test_regression_windows_equal_one_window_calls() -> None:
-    # the engine hands the regression route one window at a time; several
-    # windows in one call still give the same bits as one call each
+    # several windows in one call, in blocks of the module's budget, give
+    # the same bits as one call each
     rng = np.random.default_rng(8)
     values = 0.01 * rng.standard_normal((80, 4))
     end, m = 45, 30
@@ -128,3 +136,52 @@ def test_regression_windows_equal_one_window_calls() -> None:
         mu_j, sigma_j = calibrate_windows(values, end + j, 1, m, "regression")
         assert means[j].tobytes() == mu_j[0].tobytes()
         assert sigma[j].tobytes() == sigma_j[0].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=2, max_value=6),
+       extra=st.integers(min_value=1, max_value=40),
+       block=st.integers(min_value=2, max_value=4),
+       count=st.sampled_from(["1", "B-1", "B", "B+1"]),
+       constant=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_regression_matches_the_oracle_window_by_window(
+        n, extra, block, count, constant, seed) -> None:
+    assert isinstance(getattr(_umath_linalg, "lstsq", None), np.ufunc), (
+        f"numpy {np.__version__} has no numpy.linalg._umath_linalg.lstsq, "
+        f"the gelsd gufunc that calibration.sigma_regression calls")
+    m = n + extra
+    k = {"1": 1, "B-1": block - 1, "B": block, "B+1": block + 1}[count]
+    values = 2e-4 + 0.01 * np.random.default_rng(seed).standard_normal(
+        (m + k - 1, n))
+    if constant:
+        # two constant-return assets whose means are exact: their centred
+        # columns are zero, and so is the variance of score column N-1
+        values[:, :2] = [2.0 ** -10, -(2.0 ** -9)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(calibration, "CHUNK_BYTES", block * 64 * m * n)
+        means, sigma = calibrate_windows(values, m - 1, k, m, "regression")
+    for j in range(k):
+        window = _panel(values[j:j + m])
+        model = oracles.checked_calibrate(window, "regression")
+        assert means[j].tobytes() == model.mu.tobytes()
+        assert sigma[j].tobytes() == model.sigma.tobytes()
+        x0, column_means = oracles.checked_center_columns(window.values)
+        w = oracles.checked_pca(x0, column_means).eigenvectors
+        assert sigma_regression(x0, w).tobytes() == \
+            oracles.sigma_regression(x0, w).tobytes()
+    if constant:
+        assert not sigma[..., -1].any()
+
+
+def test_a_gelsd_that_fails_to_converge_raises_numpys_error() -> None:
+    # the column means overflow, so the standardized scores are NaN
+    x0 = np.full((6, 3), 1e308)
+    w = np.eye(3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError) as reference:
+            oracles.sigma_regression(x0, w)
+        for args in [(x0, w), (np.stack([x0, x0]), np.stack([w, w]))]:
+            with pytest.raises(np.linalg.LinAlgError) as error:
+                sigma_regression(*args)
+            assert str(error.value) == str(reference.value) == \
+                "SVD did not converge in Linear Least Squares"

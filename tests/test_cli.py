@@ -472,6 +472,20 @@ def test_min_rate_reports_both_searches(tmp_path, capsys) -> None:
     assert float(out["full_sigma_r"]) > 0.0
 
 
+@pytest.mark.parametrize("flag", ["--tol-sigma", "--tol-r"])
+def test_min_rate_rejects_a_nan_tolerance(tmp_path, capsys, flag) -> None:
+    prices = _simulate(tmp_path, n=4, steps=200, seed=31)
+    capsys.readouterr()
+    name = flag[2:].replace("-", "_")
+    assert main(["min-rate", "--prices", str(prices), "--k0", "2",
+                 flag, "nan"]) == 2
+    assert capsys.readouterr().err == f"error: {name} must not be NaN\n"
+    for value in ("inf", "-1"):
+        assert main(["min-rate", "--prices", str(prices), "--k0", "2",
+                     flag, value]) == 0
+        assert "stop_reason=" in capsys.readouterr().out
+
+
 def test_min_rate_rejects_an_empty_asset_id(tmp_path, capsys) -> None:
     # a return panel applies the price panel's id rule
     cells = 0.01 * np.random.default_rng(17).standard_normal((40, 3))

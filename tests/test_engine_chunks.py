@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from shadowrate import blas, cli, pipeline
+from shadowrate import blas, calibration, cli, pipeline
 from shadowrate.calibration import METHODS, calibrate, sigma_direct
 from shadowrate.market_data import ReturnMatrix, log_returns
 from shadowrate.pipeline import (PipelineConfig, RegularizerStates,
@@ -126,6 +126,17 @@ def test_warm_start_inside_a_chunk_matches_reference(monkeypatch, method,
         singular_values=(head.singular_values + middle.singular_values
                          + tail.singular_values))
     assert _bits(joined) == _bits(oracle_srr_series(START_PANEL, cfg))
+
+
+@pytest.mark.parametrize("windows", [1, 3])
+def test_regression_blocks_match_reference(monkeypatch, windows) -> None:
+    # blocks of 1 and 3 windows inside chunks of 7 dates: the blocks of 3
+    # end inside each chunk and at its end
+    cfg = replace(START_CFG, method="regression")
+    _dates_per_chunk(monkeypatch, 4, 7)
+    monkeypatch.setattr(calibration, "CHUNK_BYTES", windows * 64 * 60 * 4)
+    assert _bits(_engine(START_PANEL, cfg)) == \
+        _bits(oracle_srr_series(START_PANEL, cfg))
 
 
 def _cpus(monkeypatch, cpus: int) -> None:
