@@ -13,17 +13,17 @@ Every run records its wall time, the engine workers from the manifest and
 the SHA-256 of both output CSVs, so the trees' bytes can be compared.
 
 The pool check runs in one process per run, with the last tree's ``src`` on
-the path. With ``--pool n5`` (the default) it backfills 2,500 dates of
+the path, and records each run's wall and CPU time. With ``--pool n5`` (the default) it backfills 2,500 dates of
 ``simulate --n 5 --steps 5000 --seed 5`` at window 2500; with ``--pool n4``
 it backfills the ``singular-start-n4`` benchmark workload's 2,000 dates at
 window 100; with ``--pool spike`` it backfills all 8,001 dates of the
 ``spike-n5-regression`` workload (seed 5) on the regression route at window
 250. The benchmark inputs are the ones ``benchmark/workloads.py`` builds.
 Each run goes once pooled and once on the serial engine, alternating,
-``--pool-runs`` times each. The serial direct route has its BLAS thread
-count reported unknown, so the BLAS keeps numpy's count; the pooled
-regression route is made to pool as the direct route does, which the
-library never does. ``--n`` with no sizes skips the ``srr`` comparison.
+``--pool-runs`` times each. Both hold the BLAS at one thread, as every
+engine run does; the serial run has its engine workers set to one, and the
+pooled regression route is made to pool as the direct route does, which
+the library never does. ``--n`` with no sizes skips the ``srr`` comparison.
 
 Run it on a quiet host with the same ``OPENBLAS_NUM_THREADS`` for every
 tree; the times are only comparable within one run of the script.
@@ -55,15 +55,16 @@ cfg = PipelineConfig(window_m=window, method=sys.argv[5])
 run_srr_series(panel, cfg, end_index=window - 1)  # warm-up
 workers = pipeline._engine_workers
 if sys.argv[2] == "serial":
-    patch = mock.patch.object(blas, "threads", lambda: None)
+    patch = mock.patch.object(pipeline, "_engine_workers",
+                              lambda direct, chunks: 1)
 else:  # any route pools as the direct route does
     patch = mock.patch.object(pipeline, "_engine_workers",
                               lambda direct, chunks: workers(True, chunks))
 with patch:
-    start = time.perf_counter()
+    start, cpu = time.perf_counter(), time.process_time()
     run = run_srr_series(panel, cfg, end_index=window - 1 + dates - 1)
-    wall = time.perf_counter() - start
-print(json.dumps({"wall_s": wall, "workers": run.workers,
+    wall, cpu = time.perf_counter() - start, time.process_time() - cpu
+print(json.dumps({"wall_s": wall, "cpu_s": cpu, "workers": run.workers,
                   "blas": blas.describe(),
                   "digest": hashlib.sha256(run.values.tobytes()
                                            + run.spectra.tobytes())
@@ -165,6 +166,8 @@ def pool_check(tree: Path, runs: int, work: Path, shape: str) -> dict:
                   "dates": dates},
         "runs": results,
         "wall_s": {mode: _summary(walls[mode]) for mode in walls},
+        "cpu_s": {mode: _summary([r["cpu_s"] for r in results[mode]])
+                  for mode in results},
         "pooled_faster_in": sum(p < s for p, s in zip(walls["pooled"],
                                                       walls["serial"])),
         "same_bytes": len({r["digest"] for mode in results

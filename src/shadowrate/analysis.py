@@ -9,9 +9,8 @@ until growing the block stops paying: the first j whose portfolio volatility
 or mean return rises by more than the stated tolerances ends the search.
 
 ``compare_full_universe`` solves the same long-only minimum-variance problem
-over the original N assets (where no closed form exists) with pairwise
-coordinate descent on the simplex, for comparison against the composite
-result.
+over the original N assets (where no closed form exists) with a primal
+active-set solve, for comparison against the composite result.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import numpy as np
 from .pca import PcaResult
 
 STATIONARITY_TOL = 1e-12
-MAX_SWEEPS = 20000
 
 
 @dataclass(frozen=True)
@@ -165,15 +163,22 @@ def compare_full_universe(result: MinRateResult, mean_returns: np.ndarray,
                           sample_covariance: np.ndarray) -> FullUniverseResult:
     """Long-only minimum-variance portfolio over the original assets.
 
-    Minimizes w' C w subject to sum(w) = 1, w >= 0 by sweeping ordered asset
-    pairs and applying the optimal mass transfer along each pair, clipped to
-    keep both weights non-negative. Stops when the stationarity residual
-    falls below ``STATIONARITY_TOL`` relative to the largest asset variance,
-    which bounds the portfolio variance and gradient, so a portfolio whose
-    variance vanishes (a long-only null vector of the covariance) still
-    converges; raises if ``MAX_SWEEPS`` sweeps do not converge. ``result``
-    is the composite-block portfolio this full-universe solution is
-    compared against.
+    Minimizes w' C w subject to sum(w) = 1, w >= 0 by a primal active-set
+    solve (Nocedal & Wright, *Numerical Optimization*, algorithm 16.3). From
+    uniform weights, every asset free, each pass solves for the minimum over
+    the free assets from their KKT system by least squares, whose
+    minimum-norm solution exists also where a duplicate asset makes that
+    system singular, and steps toward it as far as the weights stay
+    non-negative, fixing a weight that blocks the step at zero. At a
+    free-set minimum the fixed weight with the most negative multiplier is
+    freed, unless none is below -``STATIONARITY_TOL`` times the largest
+    asset variance, a scale that holds at a long-only null portfolio.
+
+    No cap is needed: a freed weight enters with a strictly negative
+    multiplier, so each free-set minimum is strictly lower than the one
+    before and no free set repeats, and at most N steps block between two
+    minima. ``sweeps`` counts the passes; ``result`` is the composite-block
+    portfolio this one is compared against.
     """
     mean_returns = np.asarray(mean_returns, dtype=np.float64)
     cov = np.asarray(sample_covariance, dtype=np.float64)
@@ -189,39 +194,34 @@ def compare_full_universe(result: MinRateResult, mean_returns: np.ndarray,
     if result.weights.shape[0] > n:
         raise ValueError("composite result has more blocks than assets")
 
+    scaled = cov / max(float(np.max(np.diag(cov))), 1e-300)
     w = np.full(n, 1.0 / n)
-    g = cov @ w
-    floor = STATIONARITY_TOL * max(float(np.max(np.diag(cov))), 1e-300)
+    free = np.ones(n, dtype=bool)
     sweeps = 0
     while True:
-        support = w > 0.0
-        stationarity = float(np.max(g[support]) - np.min(g)) if support.any() else 0.0
-        if stationarity <= floor:
-            break
-        if sweeps >= MAX_SWEEPS:
-            raise ValueError(f"simplex coordinate descent did not converge "
-                             f"in {MAX_SWEEPS} sweeps "
-                             f"(residual {stationarity:g})")
         sweeps += 1
-        g = cov @ w
-        for i in range(n):
-            for j in range(i + 1, n):
-                gap = g[i] - g[j]
-                if gap == 0.0:
-                    continue
-                curvature = cov[i, i] + cov[j, j] - 2.0 * cov[i, j]
-                if curvature > 0.0:
-                    step = -gap / curvature
-                else:
-                    step = math.inf if gap < 0.0 else -math.inf
-                # moving step from j to i; keep both weights >= 0
-                step = min(max(step, -w[i]), w[j])
-                if step == 0.0:
-                    continue
-                w[i] += step
-                w[j] -= step
-                g += step * (cov[:, i] - cov[:, j])
-
+        idx = np.flatnonzero(free)
+        kkt = np.ones((idx.size + 1, idx.size + 1))
+        kkt[:-1, :-1], kkt[-1, -1] = scaled[np.ix_(idx, idx)], 0.0
+        solution = np.linalg.lstsq(kkt, np.eye(idx.size + 1)[-1],
+                                   rcond=None)[0]
+        step = solution[:-1] - w[idx]
+        ratios = np.divide(w[idx], -step, out=np.full(idx.size, math.inf),
+                           where=step < 0.0)
+        blocking = int(np.argmin(ratios))
+        if ratios[blocking] < 1.0:
+            w[idx] = np.maximum(w[idx] + ratios[blocking] * step, 0.0)
+            w[idx[blocking]] = 0.0
+            free[idx[blocking]] = False
+            continue
+        w[idx] = np.maximum(solution[:-1], 0.0)
+        # the gradient is -solution[-1] on the free set
+        multipliers = np.where(free, math.inf, scaled @ w + solution[-1])
+        entering = int(np.argmin(multipliers))
+        if multipliers[entering] >= -STATIONARITY_TOL:
+            break
+        free[entering] = True
+    w /= w.sum()  # the solves meet sum(w) = 1 only to rounding
     return FullUniverseResult(r=float(w @ mean_returns),
                               sigma_r=float(np.sqrt(max(w @ (cov @ w), 0.0))),
                               weights=w, sweeps=sweeps)

@@ -66,7 +66,8 @@ def one_thread():
     with _SCOPE_LOCK:
         if _scopes == 0:
             _restore = threads()
-            set_threads(1)
+            if _restore is not None:
+                set_threads(1)
         _scopes += 1
     try:
         yield

@@ -21,17 +21,15 @@ chunk. Both routes otherwise run chunks of the dates whose N x N arrays fit
 ``CHUNK_BYTES``, and at least two, so from N=65 a chunk exceeds that budget
 (1.2 MB at N=96).
 
-Stages 1 and 2 of one chunk need nothing from another, so successive
-direct-route chunks run them on a thread pool, one worker per usable CPU,
-with at most two chunks per worker in flight; the calling thread takes the
-results in date order and runs stage 3. A pooled run holds the BLAS under
-numpy at one thread (``blas.one_thread``), since pool threads on top of a
-multi-thread BLAS made the engine slower, and restores the caller's count
-when it ends, also on an error. The regression route, a hook, a single
-chunk and a BLAS of unknown thread count run the same loop serially, on the
-calling thread, and leave the BLAS alone. At one BLAS thread a pool gains
-the route nothing (see ``calibration``), and its bits at N=40 depend on the
-BLAS thread count, which stays the caller's for backfills and updates alike.
+Every run holds the BLAS under numpy at one thread (``blas.one_thread``)
+and restores the caller's count when it ends, also on an error, so its bits
+do not depend on that count. Stages 1 and 2 of one chunk need nothing from
+another, so successive direct-route chunks run them on a thread pool, one
+worker per usable CPU, with at most two chunks per worker in flight; the
+calling thread takes the results in date order and runs stage 3. The
+regression route, a hook, a single chunk and a BLAS of unknown thread count
+run the same loop serially, on the calling thread; at one BLAS thread a
+pool gains the regression route nothing (see ``calibration``).
 
 Singular dates are masked, not raised: NaN marks their raw fields in
 ``values``, and the regularized path normally still produces values. Each
@@ -233,12 +231,12 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
                       RegularizerStates(d_levels, float(x_levels[0]),
                                         x_levels[1:]), workers)
 
-    if workers == 1:
-        return take(map(systems, ends), *levels)
-    # imported here, so a serial run, such as every one-date update, does
-    # not pay for the import
-    from concurrent.futures import ThreadPoolExecutor
     with blas.one_thread():
+        if workers == 1:
+            return take(map(systems, ends), *levels)
+        # imported here, so a serial run, such as every one-date update,
+        # does not pay for the import
+        from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(workers, thread_name_prefix="shadowrate")
         try:
             return take(_in_date_order(pool, systems, ends, 2 * workers),

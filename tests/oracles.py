@@ -16,6 +16,11 @@ spectra bit for bit.
 fitted with ``np.linalg.lstsq``; the library's stacked form must match it
 bit for bit, window by window.
 
+``simplex_descent`` is the long-only minimum-variance solve that
+``analysis.compare_full_universe`` ran before its active-set solve:
+pairwise coordinate descent on the simplex. The library's portfolio must
+satisfy the same optimality conditions and reach no higher a variance.
+
 ``band_step`` is the clamp rule in numpy, one step of every level at once;
 ``band_steps`` and ``clamp_levels`` in the library must match it bit for
 bit while the levels are finite.
@@ -321,3 +326,46 @@ def oracle_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
             residual_norm=residual_norm))
         spectra.append((r.dates[t], d.copy()))
     return OracleRun(rows, spectra, (d_states, nu_state, tuple(sigma_states)))
+
+
+# ---------------------------------------------------------------------------
+# long-only minimum variance: pairwise coordinate descent on the simplex
+# ---------------------------------------------------------------------------
+
+def simplex_descent(cov: np.ndarray, tol: float = 1e-12,
+                    max_sweeps: int = 20000) -> np.ndarray:
+    """Weights minimizing w' C w subject to sum(w) = 1, w >= 0, by sweeping
+    ordered asset pairs and applying the optimal mass transfer along each
+    pair, clipped to keep both weights non-negative. Stops when the
+    stationarity residual falls below ``tol`` relative to the largest asset
+    variance, or after ``max_sweeps`` sweeps: where it stops, the portfolio
+    is feasible, so its variance bounds the minimum from above."""
+    n = cov.shape[0]
+    w = np.full(n, 1.0 / n)
+    g = cov @ w
+    floor = tol * max(float(np.max(np.diag(cov))), 1e-300)
+    sweeps = 0
+    while True:
+        support = w > 0.0
+        stationarity = float(np.max(g[support]) - np.min(g)) if support.any() else 0.0
+        if stationarity <= floor or sweeps == max_sweeps:
+            return w
+        sweeps += 1
+        g = cov @ w
+        for i in range(n):
+            for j in range(i + 1, n):
+                gap = g[i] - g[j]
+                if gap == 0.0:
+                    continue
+                curvature = cov[i, i] + cov[j, j] - 2.0 * cov[i, j]
+                if curvature > 0.0:
+                    step = -gap / curvature
+                else:
+                    step = math.inf if gap < 0.0 else -math.inf
+                # moving step from j to i; keep both weights >= 0
+                step = min(max(step, -w[i]), w[j])
+                if step == 0.0:
+                    continue
+                w[i] += step
+                w[j] -= step
+                g += step * (cov[:, i] - cov[:, j])

@@ -1,5 +1,6 @@
 """Quantile summaries, the composite minimum-rate walk, and the
-full-universe simplex solver."""
+full-universe active-set solve, checked against its optimality conditions
+and against the pairwise coordinate descent in ``oracles``."""
 
 from __future__ import annotations
 
@@ -7,8 +8,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from shadowrate import analysis
+import oracles
+from shadowrate import analysis, cli
 from shadowrate.analysis import (MinRateResult, compare_full_universe,
                                  min_rate, min_variance_weights, quantiles)
 from shadowrate.market_data import ReturnMatrix, log_returns
@@ -214,7 +218,7 @@ def test_min_rate_accepts_infinite_and_negative_tolerances() -> None:
 
 
 # ---------------------------------------------------------------------------
-# full-universe simplex solver
+# full-universe active-set solve
 # ---------------------------------------------------------------------------
 
 def _dummy_result(n: int) -> MinRateResult:
@@ -290,7 +294,7 @@ def test_full_universe_converges_on_long_only_null_portfolio(tmp_path,
     assert "full_r=" in capsys.readouterr().out
 
 
-def test_full_universe_validation(monkeypatch) -> None:
+def test_full_universe_validation() -> None:
     with pytest.raises(ValueError, match="symmetric"):
         compare_full_universe(_dummy_result(2), np.zeros(2),
                               np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -301,10 +305,59 @@ def test_full_universe_validation(monkeypatch) -> None:
                               np.array([[1.0, 0.0], [0.0, math.nan]]))
     with pytest.raises(ValueError, match="more blocks"):
         compare_full_universe(_dummy_result(3), np.zeros(2), np.eye(2))
-    monkeypatch.setattr(analysis, "MAX_SWEEPS", 0)
-    with pytest.raises(ValueError, match="converge"):
-        compare_full_universe(_dummy_result(2), np.zeros(2),
-                              np.diag([4.0, 1.0]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(min_value=2, max_value=12),
+       rows=st.integers(min_value=1, max_value=24),
+       copies=st.integers(min_value=0, max_value=2),
+       seed=st.integers(0, 2 ** 32 - 1))
+# a weight freed with a multiplier near -2e-8, and one near -5e-7 beside a
+# copied asset: a solve that stopped at either would fail the conditions
+@example(n=8, rows=6, copies=0, seed=86)
+@example(n=12, rows=10, copies=1, seed=29)
+def test_full_universe_meets_its_kkt_conditions_and_the_descent(
+        n, rows, copies, seed) -> None:
+    # fewer rows than assets make the covariance rank-deficient, and a
+    # copied asset makes the free set's KKT system singular
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, n)) * np.exp(rng.uniform(-2.0, 2.0, n))
+    for j in range(min(copies, n - 1)):
+        x[:, n - 1 - j] = x[:, j]
+    cov = x.T @ x / rows
+    w = compare_full_universe(_dummy_result(2), np.zeros(n), cov).weights
+    scale = float(np.max(np.diag(cov)))
+    tol = analysis.STATIONARITY_TOL * scale
+    g = cov @ w
+    support = w > 0.0
+    assert float(w.sum()) == pytest.approx(1.0, abs=1e-15 * n)
+    assert np.all(w >= 0.0)
+    # equal gradients on the support, non-negative multipliers off it
+    assert float(np.ptp(g[support])) <= tol
+    assert float(np.min(g, initial=math.inf, where=~support)) >= \
+        float(np.max(g[support])) - tol
+    descent = oracles.simplex_descent(cov)
+    assert float(w @ cov @ w) <= float(descent @ cov @ descent) + 1e-15 * scale
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_full_universe_with_a_duplicated_asset_matches_the_descent(
+        copies) -> None:
+    # the last assets copy the first: the split between the copies is not
+    # unique, but the portfolio's mean and volatility are
+    mu, sigma, s0 = cli._default_parameters(5)
+    prices, _ = simulate_gbm(GbmSpec(mu=mu, sigma=sigma, s0=s0, steps=3000,
+                                     seed=5))
+    x = log_returns(prices).values.copy()
+    x[:, 5 - copies:] = x[:, :1]
+    x0, means = center_columns(x)
+    cov = x0.T @ x0 / (x.shape[0] - 1)
+    full = compare_full_universe(_dummy_result(2), means, cov)
+    descent = oracles.simplex_descent(cov)
+    assert full.r == pytest.approx(float(descent @ means), rel=1e-10)
+    assert full.sigma_r == pytest.approx(
+        math.sqrt(float(descent @ cov @ descent)), rel=1e-10)
+    assert np.all(full.weights >= 0.0)
 
 
 def test_walk_and_full_universe_agree_on_simulated_panel() -> None:

@@ -4,9 +4,10 @@ degenerate panels too, and the stacked helpers give the bits of the plain
 arithmetic of one system. A chunk holds at least two dates, except a run's
 last chunk and the one-date chunks of a ``calibrator``. The direct route's
 pooled engine gives the serial engine's bits, raises a worker's error in
-date order, keeps a ``calibrator`` on the calling thread, and runs at one
-BLAS thread while restoring the caller's count, also when runs overlap; the
-serial engine, which runs the regression route, leaves the BLAS alone."""
+date order and keeps a ``calibrator`` on the calling thread. Every run,
+pooled or serial, holds the BLAS at one thread and restores the caller's
+count, also when runs overlap, so the regression route's bits do not depend
+on that count."""
 
 from __future__ import annotations
 
@@ -197,11 +198,11 @@ def test_pooled_engine_matches_serial(monkeypatch, blas_threads, cpus,
     # a one-date budget gives two-date chunks
     count = -(-141 // max(2, dates))
     assert len(chunks) == count
-    # on the direct route any BLAS of known count gets the pool, which
-    # runs at one BLAS thread and then restores the caller's count
+    # on the direct route any BLAS of known count gets the pool; every run
+    # holds a known count at one BLAS thread, then restores the caller's
     pools = blas_threads is not None
     assert pooled.workers == (min(cpus, count) if pools else 1)
-    assert seen == {1 if pooled.workers > 1 else blas_threads}
+    assert seen == {1 if pools else None}
     assert fake.count == blas_threads
     assert _bits(pooled) == _bits(serial)
     assert _state_bits(pooled.states) == _state_bits(serial.states)
@@ -270,10 +271,8 @@ def test_library_caller_at_two_blas_threads_gets_the_pool(
 
 def test_regression_backfill_and_updates_give_the_whole_runs_bits(
         monkeypatch, blas_at_two) -> None:
-    # At N=40, M=1500 the route's per-window lstsq rounds differently at one
-    # and two BLAS threads. Its one-date updates run at the caller's two
-    # threads, so its backfill in several chunks must too: a pool at one
-    # thread would join rows of two different roundings.
+    # A backfill in several chunks and its one-date updates, at a caller's
+    # two BLAS threads, join into the whole run's bits.
     mu, sigma, s0 = cli._default_parameters(40)
     prices, _ = simulate_gbm(GbmSpec(mu=mu, sigma=sigma, s0=s0, steps=1516,
                                      seed=5))
@@ -358,18 +357,13 @@ def test_overlapping_pooled_runs_restore_the_callers_count(
 
 @pytest.mark.parametrize("case", ["one-date update", "single chunk",
                                   "regression", "calibrator"])
-def test_serial_runs_leave_the_blas_alone(monkeypatch, case) -> None:
+def test_serial_runs_hold_one_blas_thread(monkeypatch, case) -> None:
     head = _engine(START_PANEL, START_CFG, end_index=69)
     if case != "single chunk":
         # 141 dates at N=4 are one chunk of the module's own budget
         _dates_per_chunk(monkeypatch, 4, 2)
-    _cpus(monkeypatch, 3)
-
-    def asked(*args):
-        raise AssertionError("the serial engine asked the BLAS")
-
-    monkeypatch.setattr(blas, "threads", asked)
-    monkeypatch.setattr(blas, "set_threads", asked)
+    fake = _threads(monkeypatch, 3, blas_threads=2)
+    seen = _blas_seen(monkeypatch)
     kwargs = {"one-date update": dict(start_index=70, end_index=70,
                                       states=head.states),
               "single chunk": {}, "regression": {},
@@ -379,6 +373,26 @@ def test_serial_runs_leave_the_blas_alone(monkeypatch, case) -> None:
     run = _engine(START_PANEL, cfg, **kwargs)
     assert run.workers == 1
     assert len(run.rows) == (1 if case == "one-date update" else 141)
+    assert seen == {1} and fake.count == 2
+
+
+def test_regression_bits_do_not_depend_on_the_callers_blas_count(
+        blas_at_two) -> None:
+    # At N=40, M=1500 the route's least-squares fit rounds differently at
+    # one and at two BLAS threads; a run holds one thread whatever count
+    # its caller runs.
+    mu, sigma, s0 = cli._default_parameters(40)
+    prices, _ = simulate_gbm(GbmSpec(mu=mu, sigma=sigma, s0=s0, steps=1506,
+                                     seed=5))
+    panel = log_returns(prices)
+    cfg = PipelineConfig(window_m=1500, method="regression")
+    at_two = _engine(panel, cfg)
+    assert blas.threads() == 2
+    blas.set_threads(1)
+    at_one = _engine(panel, cfg)
+    assert len(at_two.rows) == 6
+    assert _bits(at_two) == _bits(at_one)
+    assert _state_bits(at_two.states) == _state_bits(at_one.states)
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
