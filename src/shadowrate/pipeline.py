@@ -21,15 +21,19 @@ chunk. Both routes otherwise run chunks of the dates whose N x N arrays fit
 ``CHUNK_BYTES``, and at least two, so from N=65 a chunk exceeds that budget
 (1.2 MB at N=96).
 
-Every run holds the BLAS under numpy at one thread (``blas.one_thread``)
-and restores the caller's count when it ends, also on an error, so its bits
-do not depend on that count. Stages 1 and 2 of one chunk need nothing from
-another, so successive direct-route chunks run them on a thread pool, one
-worker per usable CPU, with at most two chunks per worker in flight; the
-calling thread takes the results in date order and runs stage 3. The
-regression route, a hook, a single chunk and a BLAS of unknown thread count
-run the same loop serially, on the calling thread; at one BLAS thread a
-pool gains the regression route nothing (see ``calibration``).
+Stages 1 and 2 of one chunk need nothing from another, so successive
+direct-route chunks run them on a thread pool, one worker per usable CPU,
+with at most two chunks per worker in flight; the calling thread takes the
+results in date order and runs stage 3. The regression route, a hook, a
+single chunk and a BLAS of unknown thread count run the same loop serially,
+on the calling thread; at one BLAS thread a pool gains the regression route
+nothing (see ``calibration``). A pooled run and every run of the regression
+route, whose least-squares fit rounds differently at one and at two threads,
+hold the BLAS under numpy at one thread (``blas.one_thread``) and restore
+the caller's count when they end, also on an error. Any other serial run,
+such as every one-date update of the direct route, leaves the BLAS alone:
+its bits are the same at any count, and its time stays that of the caller's
+count. So no run's bits depend on that count.
 
 Singular dates are masked, not raised: NaN marks their raw fields in
 ``values``, and the regularized path normally still produces values. Each
@@ -231,6 +235,10 @@ def run_srr_series(r: ReturnMatrix, cfg: PipelineConfig, *,
                       RegularizerStates(d_levels, float(x_levels[0]),
                                         x_levels[1:]), workers)
 
+    # only the regression route's own fit rounds by the BLAS thread count
+    fits = calibrator is None and cfg.method == "regression"
+    if workers == 1 and not fits:
+        return take(map(systems, ends), *levels)
     with blas.one_thread():
         if workers == 1:
             return take(map(systems, ends), *levels)

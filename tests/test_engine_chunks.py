@@ -4,10 +4,10 @@ degenerate panels too, and the stacked helpers give the bits of the plain
 arithmetic of one system. A chunk holds at least two dates, except a run's
 last chunk and the one-date chunks of a ``calibrator``. The direct route's
 pooled engine gives the serial engine's bits, raises a worker's error in
-date order and keeps a ``calibrator`` on the calling thread. Every run,
-pooled or serial, holds the BLAS at one thread and restores the caller's
-count, also when runs overlap, so the regression route's bits do not depend
-on that count."""
+date order and keeps a ``calibrator`` on the calling thread. A pooled run
+and every regression-route run hold the BLAS at one thread and restore the
+caller's count, also when runs overlap; a serial direct-route run leaves the
+BLAS alone. Either way the bits do not depend on the caller's count."""
 
 from __future__ import annotations
 
@@ -356,23 +356,39 @@ def test_overlapping_pooled_runs_restore_the_callers_count(
 
 
 @pytest.mark.parametrize("case", ["one-date update", "single chunk",
-                                  "regression", "calibrator"])
-def test_serial_runs_hold_one_blas_thread(monkeypatch, case) -> None:
+                                  "calibrator"])
+def test_serial_runs_leave_the_blas_alone(monkeypatch, case) -> None:
     head = _engine(START_PANEL, START_CFG, end_index=69)
     if case != "single chunk":
         # 141 dates at N=4 are one chunk of the module's own budget
         _dates_per_chunk(monkeypatch, 4, 2)
-    fake = _threads(monkeypatch, 3, blas_threads=2)
-    seen = _blas_seen(monkeypatch)
+    _cpus(monkeypatch, 3)
+
+    def asked(*args):
+        raise AssertionError("the serial engine asked the BLAS")
+
+    monkeypatch.setattr(blas, "threads", asked)
+    monkeypatch.setattr(blas, "set_threads", asked)
     kwargs = {"one-date update": dict(start_index=70, end_index=70,
                                       states=head.states),
-              "single chunk": {}, "regression": {},
+              "single chunk": {},
               "calibrator": dict(calibrator=calibrate)}[case]
-    cfg = replace(START_CFG, method="regression") \
-        if case == "regression" else START_CFG
-    run = _engine(START_PANEL, cfg, **kwargs)
+    run = _engine(START_PANEL, START_CFG, **kwargs)
     assert run.workers == 1
     assert len(run.rows) == (1 if case == "one-date update" else 141)
+
+
+def test_regression_runs_hold_one_blas_thread(monkeypatch) -> None:
+    head_cfg = replace(START_CFG, method="regression")
+    head = _engine(START_PANEL, head_cfg, end_index=69)
+    _dates_per_chunk(monkeypatch, 4, 2)
+    fake = _threads(monkeypatch, 3, blas_threads=2)
+    seen = _blas_seen(monkeypatch)
+    whole = _engine(START_PANEL, head_cfg)
+    update = _engine(START_PANEL, head_cfg, start_index=70, end_index=70,
+                     states=head.states)
+    assert (whole.workers, update.workers) == (1, 1)
+    assert (len(whole.rows), len(update.rows)) == (141, 1)
     assert seen == {1} and fake.count == 2
 
 
@@ -393,6 +409,36 @@ def test_regression_bits_do_not_depend_on_the_callers_blas_count(
     assert len(at_two.rows) == 6
     assert _bits(at_two) == _bits(at_one)
     assert _state_bits(at_two.states) == _state_bits(at_one.states)
+
+
+def test_direct_bits_do_not_depend_on_the_callers_blas_count(
+        monkeypatch, blas_at_two) -> None:
+    # A serial direct-route run, such as a one-date update, runs at its
+    # caller's count; a pooled backfill runs at one thread. At N=40 and
+    # M=1500 both give the bits of a serial run at one thread.
+    mu, sigma, s0 = cli._default_parameters(40)
+    prices, _ = simulate_gbm(GbmSpec(mu=mu, sigma=sigma, s0=s0, steps=1516,
+                                     seed=5))
+    panel = log_returns(prices)
+    cfg = PipelineConfig(window_m=1500)
+    _cpus(monkeypatch, 2)
+    runs = [_engine(panel, cfg, end_index=1508)]
+    for end in range(1509, len(panel.dates)):
+        runs.append(_engine(panel, cfg, start_index=end, end_index=end,
+                            states=runs[-1].states))
+    assert [run.workers for run in runs] == [2] + [1] * 6
+    assert blas.threads() == 2
+    blas.set_threads(1)
+    with monkeypatch.context() as unknown:
+        unknown.setattr(blas, "threads", lambda: None)
+        whole = _engine(panel, cfg)
+    assert whole.workers == 1
+    joined = SimpleNamespace(
+        rows=[row for run in runs for row in run.rows],
+        singular_values=[sv for run in runs for sv in run.singular_values])
+    assert len(joined.rows) == len(whole.rows) == 16
+    assert _bits(joined) == _bits(whole)
+    assert _state_bits(runs[-1].states) == _state_bits(whole.states)
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
