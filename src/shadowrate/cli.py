@@ -40,7 +40,7 @@ from .calibration import METHODS
 from .market_data import (ALIGNMENTS, LAYOUTS, DataError, load_prices,
                           load_universe, log_returns, read_return_panel,
                           select_assets, write_prices, _format_date_label,
-                          _format_float, _read_table)
+                          _format_float, _number, _read_table)
 from .pca import center_columns, covariance, pca
 from .pipeline import (PipelineConfig, run_srr_series, write_rows_csv,
                        write_singular_csv)
@@ -69,28 +69,19 @@ def _write_manifest(out_path: Path, command: str, fields: dict) -> Path:
     return manifest_path
 
 
-def _parse_floats(text: str, flag: str, count: int) -> np.ndarray:
+def _parse_numbers(text: str, flag: str, *shape: int) -> np.ndarray:
+    """A ``shape`` array of comma-separated numbers, whose rows a matrix
+    separates by ';'."""
     try:
-        values = np.array([float(tok) for tok in text.split(",")])
-    except ValueError:
+        values = np.array([[_number(tok) for tok in row.split(",")]
+                           for row in text.split(";")])
+    except ValueError:  # a number outside the grammar, or ragged rows
         raise DataError(f"{flag}: expected comma-separated numbers, "
                         f"got {text!r}") from None
-    if values.shape != (count,):
-        raise DataError(f"{flag}: expected {count} values, got {values.size}")
-    return values
-
-
-def _parse_matrix(text: str, flag: str, rows: int, cols: int) -> np.ndarray:
-    try:
-        matrix = np.array([[float(tok) for tok in row.split(",")]
-                           for row in text.split(";")])
-    except ValueError:
-        raise DataError(f"{flag}: expected ';'-separated rows of "
-                        f"comma-separated numbers") from None
-    if matrix.shape != (rows, cols):
-        raise DataError(f"{flag}: expected a {rows}x{cols} matrix, "
-                        f"got {matrix.shape}")
-    return matrix
+    if values.shape != (1, *shape)[-2:]:  # a vector is one row
+        raise DataError(f"{flag}: expected {' by '.join(map(str, shape))} "
+                        f"values, got {text!r}")
+    return values.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +142,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"need at least 2 assets, got {n}")
     mu, sigma, s0 = _default_parameters(n)
     if args.mu is not None:
-        mu = _parse_floats(args.mu, "--mu", n)
+        mu = _parse_numbers(args.mu, "--mu", n)
     if args.sigma is not None:
-        sigma = _parse_matrix(args.sigma, "--sigma", n, n - 1)
+        sigma = _parse_numbers(args.sigma, "--sigma", n, n - 1)
     if args.s0 is not None:
-        s0 = _parse_floats(args.s0, "--s0", n)
+        s0 = _parse_numbers(args.s0, "--s0", n)
     spec = GbmSpec(mu=mu, sigma=sigma, s0=s0, steps=args.steps, seed=args.seed)
     prices, _ = simulate_gbm(spec)
 
@@ -184,7 +175,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     for line_no, row in rows:
         cell = row[column]
         try:
-            values.append(None if cell == "" else float(cell))
+            values.append(None if cell == "" else _number(cell))
         except ValueError:
             raise DataError(f"line {line_no}: non-numeric value {cell!r} in "
                             f"column {args.column!r}") from None
@@ -244,14 +235,22 @@ def _build_parser() -> argparse.ArgumentParser:
                              default=ALIGNMENTS[0])
     defaults = PipelineConfig()  # the estimator's published defaults
 
+    # numeric flags read through the one grammar; argparse names the type
+    # in its errors: "argument --window: invalid integer value: '2_600'"
+    def real(text: str) -> float:
+        return _number(text)
+
+    def integer(text: str) -> int:
+        return _number(text, int)
+
     srr = sub.add_parser("srr", parents=[price_flags],
                          help="moving-window rate estimation")
     srr.add_argument("--prices", required=True, help="input price CSV")
-    srr.add_argument("--window", type=int, default=defaults.window_m)
+    srr.add_argument("--window", type=integer, default=defaults.window_m)
     srr.add_argument("--method", choices=METHODS, default=defaults.method)
-    srr.add_argument("--epsilon", type=float, default=defaults.epsilon)
-    srr.add_argument("--delta-nu", type=float, default=defaults.delta_nu)
-    srr.add_argument("--delta-sigma", type=float, default=defaults.delta_sigma)
+    srr.add_argument("--epsilon", type=real, default=defaults.epsilon)
+    srr.add_argument("--delta-nu", type=real, default=defaults.delta_nu)
+    srr.add_argument("--delta-sigma", type=real, default=defaults.delta_sigma)
     srr.add_argument("--svd-mode", choices=("min", "all"), default=None,
                      help="clamp only the smallest singular value or all "
                           "of them (default: by method)")
@@ -260,10 +259,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate",
                               help="write a synthetic GBM price CSV")
-    simulate.add_argument("--n", type=int, default=2, help="asset count")
-    simulate.add_argument("--steps", type=int, required=True,
+    simulate.add_argument("--n", type=integer, default=2, help="asset count")
+    simulate.add_argument("--steps", type=integer, required=True,
                           help="number of price dates")
-    simulate.add_argument("--seed", type=int, required=True)
+    simulate.add_argument("--seed", type=integer, required=True)
     simulate.add_argument("--mu", help="comma-separated drifts (length n)")
     simulate.add_argument("--sigma",
                           help="';'-separated rows of comma-separated "
@@ -280,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     select = sub.add_parser("select", help="evenly-spread universe selection")
     select.add_argument("--universe", required=True,
                         help="asset_id,market_cap CSV")
-    select.add_argument("--n", type=int, required=True)
+    select.add_argument("--n", type=integer, required=True)
     select.set_defaults(handler=_cmd_select)
 
     min_rate_cmd = sub.add_parser("min-rate", parents=[price_flags],
@@ -288,9 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group = min_rate_cmd.add_mutually_exclusive_group(required=True)
     group.add_argument("--returns", help="wide return-panel CSV")
     group.add_argument("--prices", help="price CSV (converted to log returns)")
-    min_rate_cmd.add_argument("--k0", type=int, default=2)
-    min_rate_cmd.add_argument("--tol-sigma", type=float, default=0.0)
-    min_rate_cmd.add_argument("--tol-r", type=float, default=0.0)
+    min_rate_cmd.add_argument("--k0", type=integer, default=2)
+    min_rate_cmd.add_argument("--tol-sigma", type=real, default=0.0)
+    min_rate_cmd.add_argument("--tol-r", type=real, default=0.0)
     min_rate_cmd.add_argument("--return-previous", action="store_true",
                               help="report the last block before the breach "
                                    "instead of the breaching block")

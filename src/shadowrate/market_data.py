@@ -39,12 +39,36 @@ class DataError(ValueError):
     """An input file or panel failed validation."""
 
 
+def _number(text: str, convert: type = float):
+    """``convert(text)`` for text in the one numeric grammar of outside
+    input: ASCII, no ``_``, and taken by ``convert`` (``float`` or
+    ``int``), so surrounding spaces, tabs, CR, LF, VT and FF pass, and
+    ``inf`` and ``nan`` as floats. Other text raises ValueError."""
+    if text.isascii() and "_" not in text:
+        return convert(text)
+    raise ValueError(f"not an ASCII number: {text!r}")
+
+
+def _parse_cell(text: str, line_no: int, asset_id: str, kind: str,
+                positive: bool = False) -> float:
+    """``_number(text)`` if finite, and with ``positive`` above 0; else a
+    DataError naming the line, the ``kind`` of cell and the asset."""
+    try:
+        value = _number(text)
+        if math.isfinite(value) and (value > 0.0 or not positive):
+            return value
+        problem = "non-positive" if math.isfinite(value) else "non-finite"
+    except ValueError:
+        problem = "non-numeric"
+    raise DataError(f"line {line_no}: {problem} {kind} {text!r} "
+                    f"for asset {asset_id!r}")
+
+
 def _parse_date_label(text: str, line_no: int) -> DateLabel:
     token = text.strip()
-    digits = token[1:] if token.startswith("-") else token
-    if digits.isascii() and digits.isdigit():  # int() also takes "+5", "1_000"
-        return int(token)
-    try:
+    try:  # a day index is ASCII digits after an optional "-"
+        if token.removeprefix("-").isdigit():
+            return _number(token, int)
         return _date.fromisoformat(token)
     except ValueError:
         raise DataError(f"line {line_no}: unparseable date {text!r}") from None
@@ -192,23 +216,14 @@ def _write_table(path: Path | str, header, dates, values: np.ndarray) -> None:
                               for cells in zip(*columns)]))
 
 
-def _parse_price_cell(text: str, line_no: int, asset_id: str) -> float:
-    try:
-        value = float(text)
-        if math.isfinite(value) and value > 0.0:
-            return value
-        kind = "non-positive price"
-    except ValueError:
-        kind = "non-numeric price"
-    raise DataError(f"line {line_no}: {kind} {text!r} for asset {asset_id!r}")
-
-
-def _read_wide(path: Path | str, header_rule: str,
-               parse_cell: Callable[[str, int, str], float]
+def _read_wide(path: Path | str, header_rule: str, prices: bool
                ) -> tuple[list[str], list[DateLabel], np.ndarray]:
     """Read a ``date,<ids>`` table into its stripped ids, its sorted dates
-    and the matrix of ``parse_cell(text, line_no, asset_id)``; a duplicate
-    date or a table without data rows raises :class:`DataError`."""
+    and the matrix of its cells: with ``prices``, positive prices where a
+    blank cell is missing (NaN), else finite returns in every cell. A bad
+    cell, a duplicate date or a table without data rows raises
+    :class:`DataError`."""
+    kind = "price" if prices else "return cell"
     rows = _read_table(path, lambda h: h[:1] == ["date"] and len(h) >= 2,
                        header_rule)
     ids = [asset_id.strip() for asset_id in next(rows)[1:]]
@@ -217,8 +232,10 @@ def _read_wide(path: Path | str, header_rule: str,
         label = _parse_date_label(row[0], line_no)
         if label in dated:
             raise DataError(f"line {line_no}: duplicate date {row[0]!r}")
-        dated[label] = [parse_cell(cell, line_no, asset_id)
-                        for asset_id, cell in zip(ids, row[1:])]
+        dated[label] = [  # blank: the ASCII whitespace float() strips
+            math.nan if prices and not cell.strip(" \t\n\r\v\f")
+            else _parse_cell(cell, line_no, asset_id, kind, prices)
+            for asset_id, cell in zip(ids, row[1:])]
     if not dated:
         raise DataError(f"{path}: no data rows")
     dates = sorted(dated, key=_date_order)
@@ -228,19 +245,18 @@ def _read_wide(path: Path | str, header_rule: str,
 def load_prices(path: Path | str, layout: str = LAYOUTS[0]) -> PricePanel:
     """Read a price CSV into a :class:`PricePanel`.
 
-    ``layout`` is ``"wide"`` (one column per asset in header order, blank
-    cell = missing) or ``"long"`` (``date,asset_id,price`` rows; columns in
-    order of first appearance). Duplicate dates or (date, asset) pairs,
-    non-numeric cells, and non-positive prices are rejected with the
-    offending line number.
+    ``layout`` is ``"wide"`` (one column per asset in header order; a blank
+    cell, empty or of the ASCII whitespace ``float`` strips, is missing)
+    or ``"long"`` (``date,asset_id,price`` rows; columns in order of first
+    appearance). Duplicate dates or (date, asset) pairs and prices that
+    are non-numeric (see ``_number``), non-finite or non-positive are
+    rejected with the offending line number.
     """
     if layout not in LAYOUTS:
         raise DataError(f"unknown layout {layout!r}")
     if layout == "wide":
         ids, dates, prices = _read_wide(
-            path, "wide header must be 'date,<asset ids>'",
-            lambda cell, line_no, asset_id: math.nan if cell.strip() == ""
-            else _parse_price_cell(cell, line_no, asset_id))
+            path, "wide header must be 'date,<asset ids>'", prices=True)
     else:
         rows = _read_table(path, lambda h: h == ["date", "asset_id", "price"],
                            "long header must be 'date,asset_id,price'")
@@ -255,7 +271,8 @@ def load_prices(path: Path | str, layout: str = LAYOUTS[0]) -> PricePanel:
             if label in bucket:
                 raise DataError(f"line {line_no}: duplicate (date, asset) pair "
                                 f"({row[0]!r}, {asset_id!r})")
-            bucket[label] = _parse_price_cell(row[2], line_no, asset_id)
+            bucket[label] = _parse_cell(row[2], line_no, asset_id, "price",
+                                        positive=True)
         ids = list(per_asset)
         dates = sorted(set().union(*per_asset.values()), key=_date_order)
         row_of = {d: m for m, d in enumerate(dates)}
@@ -285,33 +302,15 @@ def load_universe(path: Path | str) -> list[UniverseEntry]:
         if asset_id in seen:
             raise DataError(f"line {line_no}: duplicate asset id {asset_id!r}")
         seen.add(asset_id)
-        try:
-            cap = float(row[1])
-        except ValueError:
-            raise DataError(f"line {line_no}: non-numeric market cap "
-                            f"{row[1]!r}") from None
-        if not (math.isfinite(cap) and cap > 0.0):
-            raise DataError(f"line {line_no}: market cap must be positive, "
-                            f"got {row[1]!r}")
-        entries.append(UniverseEntry(asset_id, cap))
+        entries.append(UniverseEntry(asset_id, _parse_cell(
+            row[1], line_no, asset_id, "market cap", positive=True)))
     return entries
-
-
-def _parse_return_cell(text: str, line_no: int, asset_id: str) -> float:
-    try:
-        value = float(text)
-        if math.isfinite(value):
-            return value
-        kind = "non-finite return cell"
-    except ValueError:
-        kind = "non-numeric return cell"
-    raise DataError(f"line {line_no}: {kind} {text!r} for asset {asset_id!r}")
 
 
 def read_return_panel(path: Path | str) -> ReturnMatrix:
     """Read a wide ``date,<ids>`` CSV of signed returns (all cells required)."""
-    ids, dates, values = _read_wide(path, "header must be 'date,<asset ids>'",
-                                    _parse_return_cell)
+    ids, dates, values = _read_wide(
+        path, "header must be 'date,<asset ids>'", prices=False)
     return ReturnMatrix(dates, ids, values)
 
 

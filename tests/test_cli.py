@@ -2,28 +2,34 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
 import platform
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import shadowrate
 from shadowrate import blas, cli
 from shadowrate.cli import main
-from shadowrate.market_data import (PricePanel, UniverseEntry,
+from shadowrate.market_data import (DataError, PricePanel, UniverseEntry,
                                     select_assets, write_prices)
 from shadowrate.pipeline import ROW_FIELDS
 from shadowrate.synthetic import GbmSpec, simulate_gbm
 
-from helpers import MIXED_DATE_KINDS, read_rows_csv
+from helpers import (MIXED_DATE_KINDS, cell_texts, in_grammar,
+                     read_rows_csv, same_bits)
 
 
 BLAS_BUILD = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -98,6 +104,50 @@ def test_simulate_rejects_malformed_parameters(tmp_path, capsys) -> None:
     err = capsys.readouterr().err
     assert "expected 2 values" in err
     assert "comma-separated numbers" in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=cell_texts().filter(lambda text: not set(text) & set(",;")))
+def test_mu_takes_exactly_the_numeric_grammar(text) -> None:
+    # --mu, --sigma and --s0 share one reader; it sets no finite policy
+    flag_value = f"{text},1e-4"
+    try:
+        mu = cli._parse_numbers(flag_value, "--mu", 2)
+    except DataError as exc:
+        assert not in_grammar(text)
+        assert str(exc) == (f"--mu: expected comma-separated numbers, "
+                            f"got {flag_value!r}")
+    else:
+        assert in_grammar(text) and same_bits(mu[0], float(text))
+
+
+# what each command needs besides the flag under test
+REQUIRED = {"srr": ["--prices", "p.csv", "--out", "o.csv"],
+            "simulate": ["--steps", "3", "--seed", "1", "--out", "o.csv"],
+            "select": ["--universe", "u.csv", "--n", "2"],
+            "min-rate": ["--prices", "p.csv"]}
+
+
+@pytest.mark.parametrize("command, flag, kind", [
+    ("srr", "--window", int), ("srr", "--epsilon", float),
+    ("srr", "--delta-nu", float), ("srr", "--delta-sigma", float),
+    ("simulate", "--n", int), ("simulate", "--steps", int),
+    ("simulate", "--seed", int), ("select", "--n", int),
+    ("min-rate", "--k0", int), ("min-rate", "--tol-sigma", float),
+    ("min-rate", "--tol-r", float)])
+def test_numeric_flags_take_only_the_numeric_grammar(capsys, command, flag,
+                                                     kind) -> None:
+    parser = cli._build_parser()
+    args = parser.parse_args([command, *REQUIRED[command], flag, " 26 "])
+    value = getattr(args, flag[2:].replace("-", "_"))
+    assert (type(value), value) == (kind, 26)
+    for text in ("2_6", "٢٦", "２６", "26\xa0"):  # all taken by int()
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args([command, *REQUIRED[command], flag, text])
+        assert info.value.code == 2
+        name = {int: "integer", float: "real"}[kind]
+        assert (f"argument {flag}: invalid {name} value: {text!r}"
+                in capsys.readouterr().err)
 
 
 def test_srr_end_to_end_with_manifest(tmp_path, capsys) -> None:
@@ -423,6 +473,36 @@ def test_stats_summarizes_a_column_holding_inf(tmp_path, capsys) -> None:
     assert main(["stats", "--input", str(out), "--column", "kappa_raw"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == \
         "kappa_raw,3,inf,1.0,1.5,2.0,inf,inf"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=cell_texts())
+def test_stats_takes_exactly_the_numeric_grammar(tmp_path_factory,
+                                                 text) -> None:
+    # beside a 1.0, a cell in the grammar is summarized as float(text)'s
+    # bits, inf included, and nan or an empty cell is skipped; any other
+    # cell fails naming its line and column
+    path = tmp_path_factory.mktemp("stats") / "rates.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["date", "kappa_raw"], ["1", "1.0"],
+                                  ["2", text]])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["stats", "--input", str(path), "--column", "kappa_raw"])
+    if not (text == "" or in_grammar(text)):
+        assert code == 1
+        assert err.getvalue() == (f"error: line 3: non-numeric value "
+                                  f"{text!r} in column 'kappa_raw'\n")
+        return
+    assert code == 0
+    fields = out.getvalue().splitlines()[1].split(",")
+    value = math.nan if text == "" else float(text)
+    if math.isnan(value):
+        assert fields[1] == "1"
+    else:
+        assert fields[1] == "2"
+        summarized = float(fields[3] if value < 1.0 else fields[7])
+        assert same_bits(summarized, value)
 
 
 @pytest.mark.parametrize("bad_row", ["2000-03-01,1e-4",

@@ -10,7 +10,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shadowrate import market_data
@@ -19,7 +19,8 @@ from shadowrate.market_data import (DataError, PricePanel, ReturnMatrix,
                                     log_returns, read_return_panel,
                                     select_assets, window, write_prices)
 
-from helpers import MIXED_DATE_KINDS, write_long_prices, write_return_panel
+from helpers import (MIXED_DATE_KINDS, cell_texts, in_grammar, same_bits,
+                     write_long_prices, write_return_panel)
 
 NAN = math.nan
 
@@ -375,6 +376,69 @@ def test_return_panel_names_a_non_finite_cell(tmp_path, cell) -> None:
     with pytest.raises(DataError, match=f"line 4: non-finite return cell "
                                         f"'{cell}' for asset 'B'"):
         read_return_panel(path)
+
+
+CELL = object()  # where a reader's file holds the cell under test
+
+# Per reader: the file's rows, the line and asset of CELL, where its value
+# lands in what the reader returns, and whether it must be positive.
+CELL_READERS = {
+    "wide prices": ([["date", "A", "B"], ["1", "1.0", "2.0"],
+                     ["2", "1.5", CELL], ["3", "2.0", "2.5"]], 3, "B",
+                    lambda path: load_prices(path).prices[1, 1], True),
+    "long prices": ([["date", "asset_id", "price"], ["1", "A", "1.0"],
+                     ["2", "A", "1.5"], ["1", "B", "2.0"], ["2", "B", CELL]],
+                    5, "B",
+                    lambda path: load_prices(path, "long").prices[1, 1], True),
+    "return panel": ([["date", "A", "B"], ["1", "0.01", "0.02"],
+                      ["2", "0.03", CELL]], 3, "B",
+                     lambda path: read_return_panel(path).values[1, 1], False),
+    "universe": ([["asset_id", "market_cap"], ["AAA", "5e9"], ["BBB", CELL]],
+                 3, "BBB", lambda path: load_universe(path)[1].market_cap,
+                 True),
+}
+
+
+@pytest.mark.parametrize("reader", CELL_READERS)
+@settings(max_examples=150, deadline=None)
+@given(text=cell_texts())
+@example(text="\r\n")
+def test_readers_take_exactly_the_numeric_grammar(tmp_path_factory, reader,
+                                                  text) -> None:
+    # a cell in the grammar reads as float(text)'s bits, or fails the
+    # reader's finite or positive policy; any other cell is a DataError
+    # naming its line and asset, except a blank wide price (missing)
+    rows, line_no, asset_id, read, positive = CELL_READERS[reader]
+    path = tmp_path_factory.mktemp("cells") / "cells.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        # the default "\r\n" terminator makes csv quote a cell holding "\r"
+        csv.writer(fh).writerows([text if c is CELL else c for c in row]
+                                 for row in rows)
+    if reader == "wide prices" and not text.strip(" \t\n\r\v\f"):
+        assert math.isnan(read(path))
+        return
+    value = float(text) if in_grammar(text) else NAN
+    if math.isfinite(value) and (value > 0.0 or not positive):
+        assert same_bits(read(path), value)
+        return
+    with pytest.raises(DataError) as info:
+        read(path)
+    assert str(info.value).startswith(f"line {line_no}: ")
+    assert str(info.value).endswith(f" {text!r} for asset {asset_id!r}")
+
+
+@pytest.mark.parametrize("cell", ["1_000", "١٢٣", "１０１", "101\xa0", "\xa0",
+                                  "1e400", "nan"])
+def test_wide_prices_name_a_cell_outside_the_grammar(tmp_path, cell) -> None:
+    # float() takes the first five, and a no-break space alone used to read
+    # as a blank cell, so intersect-dates dropped its date
+    path = tmp_path / "p.csv"
+    path.write_text(f"date,A,B\n2000-01-01,1.0,2.0\n2000-01-02,1.5,{cell}\n"
+                    f"2000-01-03,2.0,2.5\n", encoding="utf-8")
+    problem = "non-finite" if cell in ("1e400", "nan") else "non-numeric"
+    with pytest.raises(DataError, match=re.escape(
+            f"line 3: {problem} price {cell!r} for asset 'B'")):
+        load_prices(path)
 
 
 # ---------------------------------------------------------------------------
